@@ -18,8 +18,15 @@ func TestFig3LatencyOrdering(t *testing.T) {
 	// Medians, not means: MeasureCompute charges real wall time, so a GC
 	// pause or CPU contention from parallel test packages can blow up a
 	// single sample.
+	//
+	// 2048-bit threshold keys (ISSUE 15): the assertions state the paper's
+	// regime, where a share signature (15 ms on its testbed) dwarfs a MAC
+	// round trip. At 512 bits they held only because every share was proven
+	// about five times over; with those redundant proofs gone a 512-bit
+	// share costs about what a MAC round trip does. At 2048 bits a share
+	// signs in ~11 ms.
 	results := make(map[string]float64)
-	for _, cfg := range Fig3Configs(40, 40, 15, 512) {
+	for _, cfg := range Fig3Configs(40, 40, 15, 2048) {
 		res, err := RunLatency(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
@@ -50,17 +57,20 @@ func TestFig5BundlingRaisesThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput harness in -short mode")
 	}
+	// 2048-bit threshold keys (ISSUE 15), for the reason given in
+	// TestFig3LatencyOrdering: signing must be the bottleneck the figure
+	// is about, which at 512 bits it was only through redundant proofs.
 	high := 800.0
 	one, err := RunThroughput(ThroughputConfig{
 		Bundle: 1, RatePerSec: high, ReqSize: 1024, RepSize: 1024,
-		Requests: 50, ThresholdBits: 512,
+		Requests: 50, ThresholdBits: 2048,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	three, err := RunThroughput(ThroughputConfig{
 		Bundle: 3, RatePerSec: high, ReqSize: 1024, RepSize: 1024,
-		Requests: 50, ThresholdBits: 512,
+		Requests: 50, ThresholdBits: 2048,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -202,15 +202,26 @@ func (c *Client) Deliver(from types.NodeID, data []byte, now types.Time) {
 	}
 	switch m := msg.(type) {
 	case *wire.ExecReply:
-		cert, err := c.assembler.Add(m)
-		if err != nil {
+		if m.Executor != from {
+			// A share counts for the authenticated sender only.
 			c.Metrics.BadReplies++
 			return
 		}
+		if c.answer(m.Entries) == nil {
+			return
+		}
+		before := c.assembler.Rejected
+		cert, _ := c.assembler.Add(m)
+		c.Metrics.BadReplies += c.assembler.Rejected - before
 		if cert != nil {
 			c.acceptCert(cert)
 		}
 	case *wire.ReplyCert:
+		// Every agreement replica relays each certificate: all but the
+		// first find nothing outstanding and cost no signature check.
+		if c.answer(m.Entries) == nil {
+			return
+		}
 		if c.verifier.VerifyCert(m) != nil {
 			c.Metrics.BadReplies++
 			return
@@ -221,39 +232,47 @@ func (c *Client) Deliver(from types.NodeID, data []byte, now types.Time) {
 	}
 }
 
+// answer returns the entry that replies to the outstanding request, or nil
+// when nothing is outstanding or the bundle does not address it.
+func (c *Client) answer(entries []wire.Reply) *wire.Reply {
+	if c.outstanding == nil {
+		return nil
+	}
+	for i := range entries {
+		if e := &entries[i]; e.Client == c.id && e.Timestamp == c.outstanding.Timestamp {
+			return e
+		}
+	}
+	return nil
+}
+
 // acceptCert completes the outstanding request if the certificate vouches
 // for a reply to it.
 func (c *Client) acceptCert(cert *wire.ReplyCert) {
-	if c.outstanding == nil {
+	e := c.answer(cert.Entries)
+	if e == nil {
 		return
 	}
-	for i := range cert.Entries {
-		e := &cert.Entries[i]
-		if e.Client != c.id || e.Timestamp != c.outstanding.Timestamp {
-			continue
-		}
-		body := e.Body
-		if c.sealer != nil {
-			plain, err := c.sealer.OpenReply(body)
-			if err != nil {
-				c.Metrics.BadReplies++
-				return
-			}
-			body = plain
-		}
-		// Track the primary for the next request's first transmission.
-		c.firstTo = c.top.Primary(e.View)
-		c.outstanding = nil
-		c.Metrics.Replies++
-		if c.onResult != nil {
-			c.onResult(body, e.Seq)
+	body := e.Body
+	if c.sealer != nil {
+		plain, err := c.sealer.OpenReply(body)
+		if err != nil {
+			c.Metrics.BadReplies++
 			return
 		}
-		c.result = body
-		c.resultSeq = e.Seq
-		c.haveResult = true
+		body = plain
+	}
+	// Track the primary for the next request's first transmission.
+	c.firstTo = c.top.Primary(e.View)
+	c.outstanding = nil
+	c.Metrics.Replies++
+	if c.onResult != nil {
+		c.onResult(body, e.Seq)
 		return
 	}
+	c.result = body
+	c.resultSeq = e.Seq
+	c.haveResult = true
 }
 
 // Tick implements transport.Node: retransmit to all agreement replicas with

@@ -29,6 +29,11 @@ func (n *AgreementNode) Deliver(from types.NodeID, data []byte, now types.Time) 
 	}
 	switch m := msg.(type) {
 	case *wire.ExecReply:
+		if m.Executor != from {
+			// A share counts for the authenticated sender only.
+			n.Queue.Metrics.SharesRejected++
+			return
+		}
 		n.Queue.OnExecReply(m, now)
 	case *wire.ReplyCert:
 		n.Queue.OnReplyCert(m, now)

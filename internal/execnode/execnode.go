@@ -130,12 +130,29 @@ type orderCand struct {
 	atts  map[types.NodeID]auth.Attestation
 }
 
+// holds reports whether replica id's piece of the certificate for order
+// digest od is already recorded.
+func (a *orderAccum) holds(od types.Digest, id types.NodeID) bool {
+	if a == nil || a.byDigest[od] == nil {
+		return false
+	}
+	_, ok := a.byDigest[od].atts[id]
+	return ok
+}
+
 // replyState is reply_c: this node's piece of the most recent reply
 // certificate sent to client c (§3.3).
 type replyState struct {
 	timestamp types.Timestamp
 	body      []byte       // cached reply body r' (sealed if sealing is on)
 	seq       types.SeqNum // batch that last touched this entry (for pruning)
+}
+
+// sentShare is a reply bundle share as it was sent: its sequence number and
+// encoding, kept so retransmissions resend the bytes instead of re-encoding.
+type sentShare struct {
+	seq  types.SeqNum
+	data []byte
 }
 
 // Replica is one execution-cluster member.
@@ -152,7 +169,7 @@ type Replica struct {
 	pending map[types.SeqNum]*orderAccum
 	proofs  map[types.SeqNum]*wire.OrderProof // executed, kept until stable
 	replies map[types.NodeID]*replyState
-	lastOut map[types.NodeID]*wire.ExecReply // last bundle share per client
+	lastOut map[types.NodeID]*sentShare // last bundle share per client
 
 	// checkpoints
 	ckptVotes  map[types.SeqNum]map[types.NodeID]wire.ExecCheckpoint
@@ -216,7 +233,7 @@ func New(cfg Config, app sm.StateMachine, send transport.Sender) (*Replica, erro
 		pending:   make(map[types.SeqNum]*orderAccum),
 		proofs:    make(map[types.SeqNum]*wire.OrderProof),
 		replies:   make(map[types.NodeID]*replyState),
-		lastOut:   make(map[types.NodeID]*wire.ExecReply),
+		lastOut:   make(map[types.NodeID]*sentShare),
 		ckptVotes: make(map[types.SeqNum]map[types.NodeID]wire.ExecCheckpoint),
 		ckptLocal: make(map[types.SeqNum][]byte),
 		om:        newExecMetrics(cfg.Obs, cfg.ID),
@@ -286,23 +303,26 @@ func (r *Replica) onOrder(m *wire.Order, now types.Time) {
 		return
 	}
 	od := m.OrderDigest()
-	if r.cfg.OrderAuth.Verify(auth.KindOrder, od, m.Att) != nil {
-		return
-	}
-	acc := r.pending[m.Seq]
-	if acc == nil {
-		acc = &orderAccum{byDigest: make(map[types.Digest]*orderCand), firstSeen: now}
-		r.pending[m.Seq] = acc
-		r.om.queueDepth.Set(int64(len(r.pending)))
-	}
-	cand := acc.byDigest[od]
-	if cand == nil {
-		cand = &orderCand{order: m, atts: make(map[types.NodeID]auth.Attestation)}
-		acc.byDigest[od] = cand
-	}
-	cand.atts[m.Replica] = m.Att
-	if len(cand.atts) >= 2*r.f+1 {
-		r.completeOrder(m.Seq, cand, now)
+	// A piece already recorded (each order arrives once per filter column,
+	// and again on retransmission) changes nothing: skip its verification.
+	if acc := r.pending[m.Seq]; !acc.holds(od, m.Replica) {
+		if r.cfg.OrderAuth.Verify(auth.KindOrder, od, m.Att) != nil {
+			return
+		}
+		if acc == nil {
+			acc = &orderAccum{byDigest: make(map[types.Digest]*orderCand), firstSeen: now}
+			r.pending[m.Seq] = acc
+			r.om.queueDepth.Set(int64(len(r.pending)))
+		}
+		cand := acc.byDigest[od]
+		if cand == nil {
+			cand = &orderCand{order: m, atts: make(map[types.NodeID]auth.Attestation)}
+			acc.byDigest[od] = cand
+		}
+		cand.atts[m.Replica] = m.Att
+		if len(cand.atts) >= 2*r.f+1 {
+			r.completeOrder(m.Seq, cand, now)
+		}
 	}
 	// A gap below this sequence number means we missed traffic: ask peers.
 	if m.Seq > r.maxN+1 {
@@ -511,8 +531,9 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 		}
 		out.Att = att
 	}
+	sent := &sentShare{seq: entries[0].Seq, data: wire.Marshal(out)}
 	for i := range entries {
-		r.lastOut[entries[i].Client] = out
+		r.lastOut[entries[i].Client] = sent
 	}
 	if r.recovering {
 		// WAL replay rebuilds the share cache only: these replies were
@@ -522,17 +543,16 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 		return
 	}
 	r.span(now, obs.StageReply, entries[0].Seq, fmt.Sprintf("entries=%d", len(entries)))
-	data := wire.Marshal(out)
 	for _, d := range r.cfg.ReplyDests {
-		r.send(d, data)
+		r.send(d, sent.data)
 	}
 	if r.cfg.DirectReplyToClients {
-		sent := make(map[types.NodeID]bool)
+		told := make(map[types.NodeID]bool)
 		for i := range entries {
 			c := entries[i].Client
-			if !sent[c] {
-				sent[c] = true
-				r.send(c, data)
+			if !told[c] {
+				told[c] = true
+				r.send(c, sent.data)
 			}
 		}
 	}
@@ -540,19 +560,18 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 
 // resendCached retransmits the last reply shares for an old order's clients.
 func (r *Replica) resendCached(m *wire.Order) {
-	sent := make(map[*wire.ExecReply]bool)
+	sent := make(map[*sentShare]bool)
 	for i := range m.Requests {
 		out := r.lastOut[m.Requests[i].Client]
 		if out == nil || sent[out] {
 			continue
 		}
 		sent[out] = true
-		data := wire.Marshal(out)
 		for _, d := range r.cfg.ReplyDests {
-			r.send(d, data)
+			r.send(d, out.data)
 		}
 		if r.cfg.DirectReplyToClients {
-			r.send(m.Requests[i].Client, data)
+			r.send(m.Requests[i].Client, out.data)
 		}
 	}
 }
@@ -675,7 +694,7 @@ func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[type
 	// a client still waiting on one would drive a fresh proposal, which
 	// re-answers from the reply table. Dropping them bounds the cache.
 	for c, out := range r.lastOut {
-		if len(out.Entries) > 0 && out.Entries[0].Seq < n {
+		if out.seq < n {
 			delete(r.lastOut, c)
 		}
 	}

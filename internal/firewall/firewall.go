@@ -151,7 +151,7 @@ func (f *Filter) Receive(from types.NodeID, msg wire.Message, now types.Time) {
 	case *wire.Order:
 		f.onOrder(m, now)
 	case *wire.ExecReply:
-		f.onExecReply(m, now)
+		f.onExecReply(from, m, now)
 	case *wire.ReplyCert:
 		f.onReplyCert(m, now)
 	}
@@ -247,22 +247,26 @@ func (f *Filter) onOrder(m *wire.Order, now types.Time) {
 	f.Metrics.ForwardedUp++
 }
 
-// onExecReply handles an executor's share at the top row: verify the share
-// (discarding fabrications from Byzantine executors), combine g+1 into a
-// certificate.
-func (f *Filter) onExecReply(m *wire.ExecReply, now types.Time) {
+// onExecReply handles an executor's share at the top row: combine g+1 into a
+// certificate whose signature this filter verified itself. The assembler
+// discards fabrications from Byzantine executors and counts them.
+func (f *Filter) onExecReply(from types.NodeID, m *wire.ExecReply, now types.Time) {
 	if f.assembler == nil {
 		return // only the top row accepts raw shares
+	}
+	if m.Executor != from {
+		// A share is attributed to the authenticated sender, never to whoever
+		// the message names: no peer may fill another executor's slot.
+		f.Metrics.SharesRejected++
+		return
 	}
 	if len(m.Entries) > 0 && f.tooOld(m.Entries[0].Seq) {
 		f.Metrics.DroppedOld++
 		return
 	}
-	cert, err := f.assembler.Add(m)
-	if err != nil {
-		f.Metrics.SharesRejected++
-		return
-	}
+	before := f.assembler.Rejected
+	cert, _ := f.assembler.Add(m)
+	f.Metrics.SharesRejected += f.assembler.Rejected - before
 	if cert == nil {
 		return
 	}
@@ -272,8 +276,13 @@ func (f *Filter) onExecReply(m *wire.ExecReply, now types.Time) {
 
 // onReplyCert handles a complete certificate flowing down from the row
 // above. Every filter re-verifies it: a Byzantine filter above the correct
-// cut cannot push an unvouched-for byte past a correct filter.
+// cut cannot push an unvouched-for byte past a correct filter. A certificate
+// for a slot that already holds its reply can change nothing and is dropped
+// before the signature check.
 func (f *Filter) onReplyCert(m *wire.ReplyCert, now types.Time) {
+	if f.redundant(m.MaxSeq()) {
+		return
+	}
 	if f.cfg.Verifier.VerifyCert(m) != nil {
 		f.Metrics.SharesRejected++
 		return
@@ -285,26 +294,32 @@ func (f *Filter) onReplyCert(m *wire.ReplyCert, now types.Time) {
 // exactly once, and only if the request has been seen from below.
 func (f *Filter) acceptReply(cert *wire.ReplyCert, now types.Time) {
 	n := cert.MaxSeq()
-	if f.tooOld(n) {
-		f.Metrics.DroppedOld++
+	if f.redundant(n) {
 		return
 	}
 	st := f.entry(n)
-	switch {
-	case st.reply != nil:
-		// Already have it: store only (dedup — at most one multicast per
-		// request seen, §4.2.2).
-		f.Metrics.DuplicatesDrops++
-	case st.seen:
-		st.reply = cert
-		f.Metrics.RepliesStored++
+	st.reply = cert
+	f.Metrics.RepliesStored++
+	// A reply before any request is stored, not volunteered: an unsolicited
+	// reply from above must not create downward traffic.
+	if st.seen {
 		f.sendDown(cert, now)
-	default:
-		// Reply before any request: store, do not volunteer it. An
-		// unsolicited reply from above must not create downward traffic.
-		st.reply = cert
-		f.Metrics.RepliesStored++
 	}
+}
+
+// redundant reports, and counts, a reply that cannot change the state table:
+// its slot is below the admission window or already holds its reply (dedup —
+// at most one multicast per request seen, §4.2.2).
+func (f *Filter) redundant(n types.SeqNum) bool {
+	if f.tooOld(n) {
+		f.Metrics.DroppedOld++
+		return true
+	}
+	if st := f.state[n]; st != nil && st.reply != nil {
+		f.Metrics.DuplicatesDrops++
+		return true
+	}
+	return false
 }
 
 // sendDown forwards a certificate toward the clients, in sequence order when

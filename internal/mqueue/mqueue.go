@@ -99,6 +99,9 @@ type Metrics struct {
 	RepliesSent   uint64
 	CacheHits     uint64
 	CertsAccepted uint64
+	// SharesRejected counts executor shares refused or evicted by the
+	// assembler, and those whose named executor was not their sender.
+	SharesRejected uint64
 }
 
 // New constructs a queue instance.
@@ -249,11 +252,12 @@ func (q *Queue) Busy(now types.Time) bool {
 // OnExecReply accumulates one executor's share; when g+1 distinct executors
 // vouch for a bundle, the certificate completes.
 func (q *Queue) OnExecReply(m *wire.ExecReply, now types.Time) {
-	cert, err := q.assembler.Add(m)
-	if err != nil || cert == nil {
-		return
+	before := q.assembler.Rejected
+	cert, _ := q.assembler.Add(m)
+	q.Metrics.SharesRejected += q.assembler.Rejected - before
+	if cert != nil {
+		q.acceptCert(cert, now)
 	}
-	q.acceptCert(cert, now)
 }
 
 // OnReplyCert validates and applies a complete certificate (threshold

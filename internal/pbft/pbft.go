@@ -486,6 +486,20 @@ func (r *Replica) inst(v types.View, n types.SeqNum) *instance {
 	return in
 }
 
+// peek returns the instance at (v, n) if one exists, creating nothing.
+func (r *Replica) peek(v types.View, n types.SeqNum) *instance {
+	if in := r.insts[n]; in != nil && in.view == v {
+		return in
+	}
+	return nil
+}
+
+// holds reports whether votes already records id's vote for od.
+func holds(votes map[types.NodeID]vote, id types.NodeID, od types.Digest) bool {
+	held, ok := votes[id]
+	return ok && held.od == od
+}
+
 // --- durable voting state -----------------------------------------------------
 
 // voteWAL reports whether voting state must be written through the WAL.
@@ -978,6 +992,11 @@ func (r *Replica) onPrepare(m *wire.Prepare, now types.Time) {
 	if m.Replica == r.top.Primary(m.View) || m.Replica != m.Att.Node {
 		return // the primary never sends prepares
 	}
+	// A vote the instance can no longer use — it is already prepared, or
+	// holds this very vote — is dropped before its attestation is verified.
+	if in := r.peek(m.View, m.Seq); in != nil && (in.prepared || holds(in.prepares, m.Replica, m.OD)) {
+		return
+	}
 	if r.cfg.ReplicaAuth.Verify(auth.KindPrepare, m.OD, m.Att) != nil {
 		return
 	}
@@ -1031,6 +1050,10 @@ func (r *Replica) onCommit(m *wire.Commit, now types.Time) {
 		return
 	}
 	if role, _, ok := r.top.RoleOf(m.Replica); !ok || role != types.RoleAgreement || m.Replica != m.Att.Node {
+		return
+	}
+	// Likewise for a commit once the instance is committed or holds it.
+	if in := r.peek(m.View, m.Seq); in != nil && (in.committed || holds(in.commits, m.Replica, m.OD)) {
 		return
 	}
 	if r.cfg.ReplicaAuth.Verify(auth.KindCommit, m.OD, m.Att) != nil {

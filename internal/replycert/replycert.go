@@ -107,51 +107,84 @@ func (v *Verifier) VerifyCert(cert *wire.ReplyCert) error {
 
 // VerifyShare checks one executor's contribution in isolation. In quorum
 // mode that is its attestation; in threshold mode, its signature share and
-// correctness proof (so Byzantine shares are discarded before combining).
+// correctness proof.
 func (v *Verifier) VerifyShare(m *wire.ExecReply) error {
-	if len(m.Entries) == 0 {
-		return fmt.Errorf("%w: empty bundle", ErrInvalid)
-	}
-	idx, isExec := v.Executors[m.Executor]
-	if !isExec {
-		return fmt.Errorf("%w: %v is not an executor", ErrInvalid, m.Executor)
+	sh, err := v.checkShare(m)
+	if err != nil {
+		return err
 	}
 	digest := wire.BundleDigest(m.Entries)
 	if v.Mode == ModeThreshold {
-		sh, err := threshold.UnmarshalSigShare(m.Share)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		if sh.Index != idx {
-			return fmt.Errorf("%w: share index %d does not match executor %v", ErrInvalid, sh.Index, m.Executor)
-		}
-		if err := v.Threshold.VerifyShare(digest, sh); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		return nil
+		err = v.Threshold.VerifyShare(digest, sh)
+	} else {
+		err = v.Scheme.Verify(auth.KindReply, digest, m.Att)
 	}
-	if m.Att.Node != m.Executor {
-		return fmt.Errorf("%w: attestation node mismatch", ErrInvalid)
-	}
-	if err := v.Scheme.Verify(auth.KindReply, digest, m.Att); err != nil {
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return nil
 }
 
+// checkShare runs the checks that cost no cryptography: a non-empty bundle
+// from a member executor whose attestation names it or, in threshold mode,
+// whose canonically encoded share (returned decoded) carries its player index.
+func (v *Verifier) checkShare(m *wire.ExecReply) (*threshold.SigShare, error) {
+	if len(m.Entries) == 0 {
+		return nil, fmt.Errorf("%w: empty bundle", ErrInvalid)
+	}
+	idx, isExec := v.Executors[m.Executor]
+	if !isExec {
+		return nil, fmt.Errorf("%w: %v is not an executor", ErrInvalid, m.Executor)
+	}
+	if v.Mode != ModeThreshold {
+		if m.Att.Node != m.Executor {
+			return nil, fmt.Errorf("%w: attestation node mismatch", ErrInvalid)
+		}
+		return nil, nil
+	}
+	sh, err := threshold.UnmarshalSigShare(m.Share)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	if sh.Index != idx {
+		return nil, fmt.Errorf("%w: share index %d does not match executor %v", ErrInvalid, sh.Index, m.Executor)
+	}
+	return sh, nil
+}
+
 // Assembler accumulates executor shares per bundle until a certificate can
-// be produced. Shares are verified on Add; entries GC by sequence number.
+// be produced; entries GC by sequence number.
+//
+// Add looks the bundle up before verifying anything: a share for a certified
+// bundle, or from an executor already counted, costs no cryptography. Quorum
+// mode holds only verified attestations. Threshold mode holds shares
+// unproven, because the combined signature is verified anyway and that alone
+// decides whether a certificate leaves; proofs run only to name the culprits
+// of a failed combination, or when a different share claims a held slot.
 type Assembler struct {
 	v       *Verifier
 	pending map[types.Digest]*pendingBundle
+
+	// Rejected counts the shares refused on arrival, evicted after a failed
+	// combination, or displaced by a proven share of the same executor.
+	Rejected uint64
+
+	onProof func() // tests: called per share proof or attestation check
 }
 
 type pendingBundle struct {
 	entries []wire.Reply
 	maxSeq  types.SeqNum
 	atts    map[types.NodeID]auth.Attestation
-	shares  map[types.NodeID]*threshold.SigShare
+	shares  map[types.NodeID]*heldShare
 	done    bool
+}
+
+// heldShare is one executor's threshold share and whether its proof has been
+// checked yet.
+type heldShare struct {
+	sh     *threshold.SigShare
+	proven bool
 }
 
 // NewAssembler returns an Assembler over the Verifier.
@@ -159,52 +192,71 @@ func NewAssembler(v *Verifier) *Assembler {
 	return &Assembler{v: v, pending: make(map[types.Digest]*pendingBundle)}
 }
 
+// proven counts one proof or attestation check and, if it failed, its share.
+func (a *Assembler) proven(err error) error {
+	if a.onProof != nil {
+		a.onProof()
+	}
+	if err != nil {
+		a.Rejected++
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return nil
+}
+
 // Add records one executor's share. When the bundle reaches its quorum, Add
 // returns the completed certificate exactly once; otherwise it returns nil.
-// Invalid shares are rejected with an error.
+// Invalid shares are rejected with an error and counted in Rejected.
 func (a *Assembler) Add(m *wire.ExecReply) (*wire.ReplyCert, error) {
-	if err := a.v.VerifyShare(m); err != nil {
+	sh, err := a.v.checkShare(m)
+	if err != nil {
+		a.Rejected++
 		return nil, err
 	}
 	digest := wire.BundleDigest(m.Entries)
 	pb := a.pending[digest]
 	if pb == nil {
+		// Joins pending only once a share is stored in it.
 		pb = &pendingBundle{
 			entries: m.Entries,
 			atts:    make(map[types.NodeID]auth.Attestation),
-			shares:  make(map[types.NodeID]*threshold.SigShare),
+			shares:  make(map[types.NodeID]*heldShare),
 		}
 		for i := range m.Entries {
 			if m.Entries[i].Seq > pb.maxSeq {
 				pb.maxSeq = m.Entries[i].Seq
 			}
 		}
-		a.pending[digest] = pb
 	}
 	if pb.done {
 		return nil, nil
 	}
 	if a.v.Mode == ModeThreshold {
-		sh, err := threshold.UnmarshalSigShare(m.Share)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		pb.shares[m.Executor] = sh
-		if len(pb.shares) < a.v.Quorum {
+		switch held := pb.shares[m.Executor]; {
+		case held == nil:
+			pb.shares[m.Executor] = &heldShare{sh: sh}
+		case held.proven || held.sh.Xi.Cmp(sh.Xi) == 0:
 			return nil, nil
+		default:
+			// A different share must prove itself to displace an unproven
+			// holder: a forgery parked in the slot can then never keep the
+			// executor's real share out, and costs its sender one check.
+			if err := a.proven(a.v.Threshold.VerifyShare(digest, sh)); err != nil {
+				return nil, err
+			}
+			held.sh, held.proven = sh, true
+			a.Rejected++
 		}
-		shares := make([]*threshold.SigShare, 0, len(pb.shares))
-		for _, sh := range pb.shares {
-			//lint:allow simdeterminism Combine selects and orders shares by ascending player index internally, so input order cannot reach the signature bytes (TestCombineSubsetIndependence)
-			shares = append(shares, sh)
-		}
-		sig, err := a.v.Threshold.Combine(digest, shares)
-		if err != nil {
-			return nil, err
-		}
-		pb.done = true
-		return &wire.ReplyCert{Entries: pb.entries, ThresholdSig: sig}, nil
+		a.pending[digest] = pb
+		return a.combine(digest, pb, m.Executor)
 	}
+	if _, held := pb.atts[m.Executor]; held {
+		return nil, nil
+	}
+	if err := a.proven(a.v.Scheme.Verify(auth.KindReply, digest, m.Att)); err != nil {
+		return nil, err
+	}
+	a.pending[digest] = pb
 	pb.atts[m.Executor] = m.Att
 	if len(pb.atts) < a.v.Quorum {
 		return nil, nil
@@ -215,6 +267,40 @@ func (a *Assembler) Add(m *wire.ExecReply) (*wire.ReplyCert, error) {
 	}
 	pb.done = true
 	return &wire.ReplyCert{Entries: pb.entries, Atts: q.Attestations()}, nil
+}
+
+// combine certifies a bundle once it holds a quorum of shares. A combination
+// that fails means some held share lied: the unproven ones are proven, the
+// culprits evicted and counted, and the rest combined again when they still
+// make a quorum. The error reports that from's own share was a culprit.
+func (a *Assembler) combine(digest types.Digest, pb *pendingBundle, from types.NodeID) (*wire.ReplyCert, error) {
+	for len(pb.shares) >= a.v.Quorum {
+		shares := make([]*threshold.SigShare, 0, len(pb.shares))
+		for _, held := range pb.shares {
+			//lint:allow simdeterminism Combine selects and orders shares by ascending player index internally, so input order cannot reach the signature bytes (TestCombineSubsetIndependence)
+			shares = append(shares, held.sh)
+		}
+		sig, err := a.v.Threshold.Combine(digest, shares)
+		if err == nil {
+			pb.done = true
+			return &wire.ReplyCert{Entries: pb.entries, ThresholdSig: sig}, nil
+		}
+		evicted := false
+		for id, held := range pb.shares {
+			if !held.proven && a.proven(a.v.Threshold.VerifyShare(digest, held.sh)) != nil {
+				delete(pb.shares, id)
+				evicted = true
+			}
+			held.proven = true
+		}
+		if !evicted {
+			return nil, err // every share proven yet no signature: not a share's fault
+		}
+	}
+	if pb.shares[from] == nil {
+		return nil, fmt.Errorf("%w: share of %v failed its proof", ErrInvalid, from)
+	}
+	return nil, nil
 }
 
 // SplitOpReplies splits the certified reply body of a multi-op request

@@ -6,8 +6,11 @@
 // them can jointly produce one ordinary RSA signature, while fewer than k
 // learn nothing. Each signature share carries a non-interactive
 // Chaum–Pedersen-style proof of correctness, so a combiner (a privacy
-// firewall top-row filter) can discard shares fabricated by Byzantine
-// execution replicas without trial-and-error combination.
+// firewall top-row filter) whose combination failed can name and discard
+// the shares fabricated by Byzantine execution replicas without
+// trial-and-error over subsets. The proofs are needed for nothing else: the
+// combined signature is an ordinary RSA signature, and verifying it decides
+// by itself whether the shares were good.
 //
 // The scheme matters for confidentiality, not just cost amortization: a
 // combined threshold signature is byte-identical no matter which correct
@@ -226,10 +229,11 @@ func (ks *KeyShare) Sign(rng io.Reader, digest types.Digest) (*SigShare, error) 
 
 // VerifyShare checks a signature share's correctness proof.
 func (pk *PublicKey) VerifyShare(digest types.Digest, sh *SigShare) error {
-	if sh.Index < 1 || sh.Index > pk.Players {
-		return fmt.Errorf("%w: player index %d out of range", ErrBadShare, sh.Index)
-	}
-	if sh.Xi == nil || sh.Z == nil || sh.C == nil || sh.Xi.Sign() <= 0 || sh.Xi.Cmp(pk.N) >= 0 {
+	// A correct proof has a SHA-256 challenge C and a response Z = s·C + r
+	// with s < N and r < 2^(|N|+512); anything larger is refused before it
+	// can be used as an exponent.
+	if !pk.wellFormed(sh) || sh.Z == nil || sh.C == nil || sh.Z.Sign() < 0 || sh.C.Sign() < 0 ||
+		sh.C.BitLen() > 8*sha256.Size || sh.Z.BitLen() > pk.N.BitLen()+513 {
 		return ErrBadShare
 	}
 	x := pk.fdh(digest)
@@ -276,18 +280,47 @@ func (pk *PublicKey) lagrange(indices []int, i int) *big.Int {
 	return q
 }
 
-// Combine verifies the provided shares and, given at least K valid shares
-// from distinct players, assembles the unique RSA signature over digest.
-// The result is independent of which valid subset contributed.
+// wellFormed reports whether a share passes the range checks that need no
+// arithmetic: a player index of this key and 0 < Xi < N.
+func (pk *PublicKey) wellFormed(sh *SigShare) bool {
+	return sh != nil && sh.Index >= 1 && sh.Index <= pk.Players &&
+		sh.Xi != nil && sh.Xi.Sign() > 0 && sh.Xi.Cmp(pk.N) < 0
+}
+
+// Combine assembles the unique RSA signature over digest from at least K
+// valid shares of distinct players. The result is independent of which valid
+// subset contributed.
+//
+// The combined signature is checked against the public key before it is
+// returned, and that check alone decides the result, so Combine is
+// optimistic: it first interpolates the K lowest-indexed well-formed shares
+// without proving them. Only when that signature fails does it prove every
+// share and combine the K lowest-indexed valid ones. Given exactly K shares a
+// failure cannot be repaired by discarding any of them, so none is proven:
+// fewer than K are valid. A caller that wants to name the culprit proves the
+// shares itself with VerifyShare.
 func (pk *PublicKey) Combine(digest types.Digest, shares []*SigShare) ([]byte, error) {
-	// Keep the first valid share per player until we have K of them, in
+	sig, err := pk.combine(digest, shares, false)
+	switch {
+	case err == nil || errors.Is(err, ErrNotEnoughShares):
+		return sig, err
+	case len(shares) == pk.K:
+		return nil, fmt.Errorf("%w: the %d given do not combine", ErrNotEnoughShares, pk.K)
+	}
+	return pk.combine(digest, shares, true)
+}
+
+// combine interpolates K of the shares and verifies the result. With proven
+// set it uses only shares that pass VerifyShare.
+func (pk *PublicKey) combine(digest types.Digest, shares []*SigShare, proven bool) ([]byte, error) {
+	// Keep the first usable share per player until we have K of them, in
 	// ascending player order for determinism.
 	valid := make(map[int]*SigShare)
 	for _, sh := range shares {
-		if sh == nil || valid[sh.Index] != nil {
+		if !pk.wellFormed(sh) || valid[sh.Index] != nil {
 			continue
 		}
-		if pk.VerifyShare(digest, sh) == nil {
+		if !proven || pk.VerifyShare(digest, sh) == nil {
 			valid[sh.Index] = sh
 		}
 	}
@@ -386,19 +419,27 @@ func (sh *SigShare) Marshal() []byte {
 	return w.B
 }
 
-// UnmarshalSigShare decodes a share produced by Marshal.
+// UnmarshalSigShare decodes a share produced by Marshal. Only that encoding
+// is accepted (minimal big-endian integers, no trailing bytes), so a share
+// has exactly one byte representation.
 func UnmarshalSigShare(b []byte) (*SigShare, error) {
 	r := wire.NewReader(b)
-	sh := &SigShare{
-		Index: int(r.U32()),
-		Xi:    new(big.Int).SetBytes(r.Bytes()),
-		Z:     new(big.Int).SetBytes(r.Bytes()),
-		C:     new(big.Int).SetBytes(r.Bytes()),
-	}
+	index := int(r.U32())
+	xi, z, c := r.Bytes(), r.Bytes(), r.Bytes()
 	if r.Err() != nil || r.Remaining() != 0 {
 		return nil, errors.New("threshold: malformed signature share")
 	}
-	return sh, nil
+	for _, f := range [][]byte{xi, z, c} {
+		if len(f) > 0 && f[0] == 0 {
+			return nil, errors.New("threshold: non-canonical signature share")
+		}
+	}
+	return &SigShare{
+		Index: index,
+		Xi:    new(big.Int).SetBytes(xi),
+		Z:     new(big.Int).SetBytes(z),
+		C:     new(big.Int).SetBytes(c),
+	}, nil
 }
 
 // deterministicPrime generates a prime of exactly the given bit length as a

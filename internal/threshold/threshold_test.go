@@ -2,11 +2,13 @@ package threshold
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"sync"
 	"testing"
 
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // testKey deals a small, deterministic key once and shares it across tests;
@@ -102,6 +104,84 @@ func TestCombineSubsetIndependence(t *testing.T) {
 			first = sig
 		} else if !bytes.Equal(first, sig) {
 			t.Fatalf("subset %d produced a different signature", i)
+		}
+	}
+
+	// The same must hold when shares go in unproven and some of them lie:
+	// whether the optimistic combination succeeds at once or the proofs
+	// have to sort the culprits out first, the bytes are those of the
+	// all-proven result.
+	for _, s := range sh {
+		if err := pub.VerifyShare(d, s); err != nil {
+			t.Fatalf("share %d: %v", s.Index, err)
+		}
+	}
+	lying := make([]*SigShare, 3)
+	for i, s := range sh {
+		bad := *s
+		bad.Xi = new(big.Int).Add(s.Xi, one) // well-formed, wrong value, stale proof
+		lying[i] = &bad
+	}
+	withCulprits := [][]*SigShare{
+		{lying[0], sh[1], sh[2]}, // culprit among the K lowest: proofs run
+		{sh[2], sh[1], lying[0]},
+		{sh[0], lying[1], sh[2]},
+		{sh[0], sh[1], lying[2]}, // culprit never touched
+		{lying[0], sh[0], sh[1]}, // a forgery ahead of the real share of its player
+		{lying[0], lying[1], sh[0], sh[1], sh[2]},
+		{lying[1], sh[0], sh[2], nil},
+	}
+	for i, sub := range withCulprits {
+		sig, err := pub.Combine(d, sub)
+		if err != nil {
+			t.Fatalf("subset %d with culprits: %v", i, err)
+		}
+		if !bytes.Equal(first, sig) {
+			t.Fatalf("subset %d with culprits produced a different signature", i)
+		}
+	}
+}
+
+func TestCombineExactlyKWithCulprit(t *testing.T) {
+	// K players' shares that do not combine cannot be repaired by dropping
+	// one: fewer than K are valid, whichever it is that lied.
+	pub, shares := dealTestKey(t)
+	d := types.DigestBytes([]byte("exactly-k"))
+	rng := NewSeededReader("exactly-k")
+	good0, _ := shares[0].Sign(rng, d)
+	good1, _ := shares[1].Sign(rng, d)
+	bad := *good1
+	bad.Xi = new(big.Int).Add(good1.Xi, one)
+	if _, err := pub.Combine(d, []*SigShare{good0, &bad}); !errors.Is(err, ErrNotEnoughShares) {
+		t.Fatalf("Combine with a lying share among exactly K: err = %v, want ErrNotEnoughShares", err)
+	}
+	// A second copy of the same player's share does not make it K+1.
+	if _, err := pub.Combine(d, []*SigShare{good0, &bad, &bad}); !errors.Is(err, ErrNotEnoughShares) {
+		t.Fatalf("duplicate lying share: err = %v, want ErrNotEnoughShares", err)
+	}
+	if _, err := pub.Combine(d, []*SigShare{good0, good1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUnmarshalSigShareCanonicalOnly(t *testing.T) {
+	_, shares := dealTestKey(t)
+	d := types.DigestBytes([]byte("canonical"))
+	sh, err := shares[0].Sign(NewSeededReader("canonical"), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode each integer field in turn with one leading zero byte.
+	for field := 0; field < 3; field++ {
+		fields := [][]byte{sh.Xi.Bytes(), sh.Z.Bytes(), sh.C.Bytes()}
+		fields[field] = append([]byte{0}, fields[field]...)
+		var w wire.Writer
+		w.U32(uint32(sh.Index))
+		for _, f := range fields {
+			w.Bytes(f)
+		}
+		if _, err := UnmarshalSigShare(w.B); err == nil {
+			t.Errorf("accepted a leading zero in field %d", field)
 		}
 	}
 }

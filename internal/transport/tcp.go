@@ -73,6 +73,13 @@ type TCPOptions struct {
 	// the "node" label value for every series. Close unregisters them.
 	Obs     *obs.Registry
 	ObsNode string
+
+	// Listener, when non-nil, is an already bound listener the endpoint
+	// serves on (and owns) instead of binding its configured address. A
+	// caller that let the kernel choose the port keeps it bound this way:
+	// closed and bound again later, it could be taken in between by a
+	// peer's outbound connection.
+	Listener net.Listener
 }
 
 func (o *TCPOptions) fillDefaults() {
@@ -182,14 +189,17 @@ func NewTCPNet(self types.NodeID, addrs map[types.NodeID]string, handler func(fr
 // NewTCPNetOpts is NewTCPNet with explicit link tuning and (optionally)
 // mutual-TLS security.
 func NewTCPNetOpts(self types.NodeID, addrs map[types.NodeID]string, handler func(from types.NodeID, data []byte), opts TCPOptions) (*TCPNet, error) {
-	addr, ok := addrs[self]
-	if !ok {
-		return nil, fmt.Errorf("tcp: no address configured for self %v", self)
-	}
 	opts.fillDefaults()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcp: listen %s: %w", addr, err)
+	ln := opts.Listener
+	if ln == nil {
+		addr, ok := addrs[self]
+		if !ok {
+			return nil, fmt.Errorf("tcp: no address configured for self %v", self)
+		}
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			return nil, fmt.Errorf("tcp: listen %s: %w", addr, err)
+		}
 	}
 	n := &TCPNet{
 		self:    self,

@@ -24,16 +24,24 @@ type tcpTransport struct {
 }
 
 func (t *tcpTransport) start(b *core.Builder, o *options) (clusterRuntime, error) {
-	addrs, err := pickAddrs(b.Top.AllNodes(), t.cfg.BasePort)
+	addrs, bound, err := pickAddrs(b.Top.AllNodes(), t.cfg.BasePort)
 	if err != nil {
 		return nil, err
 	}
+	// Listeners no endpoint took over: identities that run no node (BASE
+	// mode's executors), or everything after a failed start.
+	defer func() {
+		for _, ln := range bound {
+			ln.Close()
+		}
+	}()
 	secFor, err := o.tls.provider()
 	if err != nil {
 		return nil, err
 	}
 	topts := func(id types.NodeID) (transport.TCPOptions, error) {
-		to := transport.TCPOptions{Obs: o.obsReg, ObsNode: strconv.Itoa(int(id))}
+		to := transport.TCPOptions{Obs: o.obsReg, ObsNode: strconv.Itoa(int(id)), Listener: bound[id]}
+		delete(bound, id) // the endpoint owns it from here
 		if secFor == nil {
 			return to, nil
 		}
@@ -92,9 +100,13 @@ func serverIDs(b *core.Builder) []types.NodeID {
 }
 
 // pickAddrs assigns a loopback address to every identity: consecutive ports
-// from basePort, or kernel-chosen free ports when basePort is zero.
-func pickAddrs(ids []types.NodeID, basePort int) (map[types.NodeID]string, error) {
+// from basePort, or kernel-chosen free ports when basePort is zero. A
+// kernel-chosen port stays bound — its listener is returned for the
+// identity's endpoint to serve on — because a port released here could be
+// taken by a peer's outbound connection before the endpoint binds it again.
+func pickAddrs(ids []types.NodeID, basePort int) (map[types.NodeID]string, map[types.NodeID]net.Listener, error) {
 	addrs := make(map[types.NodeID]string, len(ids))
+	bound := make(map[types.NodeID]net.Listener)
 	for i, id := range ids {
 		if basePort > 0 {
 			addrs[id] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
@@ -102,12 +114,15 @@ func pickAddrs(ids []types.NodeID, basePort int) (map[types.NodeID]string, error
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			for _, held := range bound {
+				held.Close()
+			}
+			return nil, nil, err
 		}
 		addrs[id] = ln.Addr().String()
-		ln.Close()
+		bound[id] = ln
 	}
-	return addrs, nil
+	return addrs, bound, nil
 }
 
 func logfOrSilent(logf func(string, ...interface{})) func(string, ...interface{}) {

@@ -1,7 +1,9 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // paper's evaluation (§5). Each benchmark prints/reports the same quantities
 // the paper plots; `go test -bench=. -benchmem` runs them all at quick scale,
-// and cmd/saebft-bench renders the full tables.
+// and cmd/saebft-bench (through package saebft/paperfig) renders the full
+// tables. They reproduce the paper's figures; the throughput and latency of
+// the system itself are measured by the program in benchmark/.
 //
 // Reported custom metrics:
 //

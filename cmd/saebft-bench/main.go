@@ -1,6 +1,5 @@
 // Command saebft-bench regenerates the paper's evaluation tables and
-// figures (§5) on the simulated cluster with compute-time accounting, and
-// runs the client-batching throughput sweep CI tracks:
+// figures (§5) on the simulated cluster with compute-time accounting:
 //
 //	saebft-bench -figure all          # everything, quick scale
 //	saebft-bench -figure 3            # null-server latency table
@@ -10,21 +9,8 @@
 //	saebft-bench -figure 7            # Andrew-N with failures
 //	saebft-bench -figure all -scale full   # longer runs, 1024-bit threshold keys
 //
-//	saebft-bench -batching -out BENCH_batching.json
-//	saebft-bench -batching -short -out BENCH_batching.json \
-//	    -baseline .github/bench-baseline.json -max-regress 0.30
-//
-//	saebft-bench -reads -short -out BENCH_reads.json
-//
-// The -batching mode sweeps client-side batch size × pipeline width over
-// the sim and TCP transports and writes a machine-readable report. With
-// -baseline it exits non-zero when any simulated-transport point regresses
-// more than -max-regress below the baseline — the bench-smoke CI gate.
-//
-// The -reads mode serves the same read-only workload once through the
-// certified fast read path and once through full agreement, reporting paired
-// read=certified / read=invoke points; -out, -baseline, and -max-regress
-// work exactly as for -batching.
+// Throughput and latency of the system itself are measured by the
+// repository's benchmark (go run ./benchmark), not here.
 package main
 
 import (
@@ -32,150 +18,38 @@ import (
 	"fmt"
 	"os"
 
-	"repro/saebft"
+	"repro/saebft/paperfig"
 )
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", "which figure to regenerate: 3, 4, 5, 6, 7, or all")
-		scale      = flag.String("scale", "quick", "run scale: quick or full")
-		batching   = flag.Bool("batching", false, "run the client-batching throughput sweep instead of the paper figures")
-		reads      = flag.Bool("reads", false, "run the certified-read vs full-agreement read sweep instead of the paper figures")
-		short      = flag.Bool("short", false, "sweeps: CI smoke grid (seconds of wall time)")
-		out        = flag.String("out", "", "sweeps: write the JSON report here")
-		baseline   = flag.String("baseline", "", "sweeps: compare against this baseline report")
-		maxRegress = flag.Float64("max-regress", 0.30, "sweeps: tolerated fractional throughput regression vs the baseline")
-		useTLS     = flag.Bool("tls", false, "batching sweep: run the TCP points over ephemeral mutual TLS, measuring the link-security cost")
-		opsAddr    = flag.String("ops-addr", "", "serve an ops HTTP endpoint for the bench process itself (pprof under /debug/pprof/) while the run is in progress; CI captures its CPU profile from here")
+		figure = flag.String("figure", "all", "which figure to regenerate: 3, 4, 5, 6, 7, or all")
+		scale  = flag.String("scale", "quick", "run scale: quick or full")
 	)
 	flag.Parse()
 
-	if *opsAddr != "" {
-		// The bench's clusters each own a private registry, so the process
-		// endpoint carries no metrics — it exists for the pprof handlers,
-		// which profile the whole process regardless.
-		srv, err := saebft.ServeOps(*opsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "saebft-bench: ops endpoint: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("saebft-bench: ops endpoint on http://%s (/debug/pprof/)\n", srv.Addr())
-	}
-
-	if *batching {
-		runBatching(*short, *useTLS, *out, *baseline, *maxRegress)
-		return
-	}
-	if *reads {
-		runReads(*short, *out, *baseline, *maxRegress)
-		return
-	}
-
-	var sc saebft.BenchScale
+	var sc paperfig.Scale
 	switch *scale {
 	case "quick":
-		sc = saebft.BenchQuick
+		sc = paperfig.Quick
 	case "full":
-		sc = saebft.BenchFull
+		sc = paperfig.Full
 	default:
 		fmt.Fprintf(os.Stderr, "saebft-bench: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
 
-	figures := saebft.BenchFigures()
+	figures := paperfig.Figures()
 	if *figure != "all" {
 		figures = []string{*figure}
 	}
 	for _, fig := range figures {
 		fmt.Printf("=== Figure %s ===\n", fig)
-		out, err := saebft.RunBenchFigure(fig, sc)
+		out, err := paperfig.RunFigure(fig, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "saebft-bench: figure %s: %v\n", fig, err)
 			os.Exit(1)
 		}
 		fmt.Println(out)
-	}
-}
-
-func runBatching(short, useTLS bool, out, baseline string, maxRegress float64) {
-	rep, err := saebft.RunBatchingBench(saebft.BatchBenchConfig{Short: short, TLS: useTLS})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebft-bench: batching sweep: %v\n", err)
-		os.Exit(1)
-	}
-	for _, p := range rep.Points {
-		// Sim points report virtual time, except the wall-clock-measured
-		// crypto pair (VirtualMs unset) — see BenchPoint.
-		clock := fmt.Sprintf("wall %8.1fms", p.WallMs)
-		if p.VirtualMs > 0 {
-			clock = fmt.Sprintf("virt %8.1fms", p.VirtualMs)
-		}
-		batch := "off"
-		if p.BatchOps > 0 {
-			batch = fmt.Sprintf("%d", p.BatchOps)
-		}
-		store := "mem"
-		if p.Storage {
-			store = "wal"
-		}
-		link := "tcp"
-		if p.TLS {
-			link = "tls"
-		}
-		if p.Transport == "sim" {
-			link = "sim"
-		}
-		tag := ""
-		if p.Obs != "" {
-			tag = "  obs=" + p.Obs
-		}
-		if p.Crypto != "" {
-			tag += "  crypto=" + p.Crypto
-		}
-		fmt.Printf("%-4s pipeline=%d batch=%-3s store=%s ops=%-4d %s  %9.0f ops/s  mean-lat %6.1fms  batches=%-3d width=%d%s\n",
-			link, p.Pipeline, batch, store, p.Ops, clock, p.Throughput, p.MeanLatMs, p.Batches, p.FinalWidth, tag)
-	}
-	writeAndGate(rep, out, baseline, maxRegress)
-}
-
-func runReads(short bool, out, baseline string, maxRegress float64) {
-	rep, err := saebft.RunReadBench(saebft.ReadBenchConfig{Short: short})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saebft-bench: read sweep: %v\n", err)
-		os.Exit(1)
-	}
-	for _, p := range rep.Points {
-		clock := fmt.Sprintf("wall %8.1fms", p.WallMs)
-		if p.Transport == "sim" {
-			clock = fmt.Sprintf("virt %8.1fms", p.VirtualMs)
-		}
-		fmt.Printf("%-4s pipeline=%d read=%-9s ops=%-4d %s  %9.0f ops/s  mean-lat %6.1fms\n",
-			p.Transport, p.Pipeline, p.Read, p.Ops, clock, p.Throughput, p.MeanLatMs)
-	}
-	writeAndGate(rep, out, baseline, maxRegress)
-}
-
-// writeAndGate applies the shared -out / -baseline / -max-regress handling
-// to a finished sweep report.
-func writeAndGate(rep *saebft.BenchReport, out, baseline string, maxRegress float64) {
-	if out != "" {
-		if err := rep.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "saebft-bench: writing %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if baseline != "" {
-		base, err := saebft.LoadBenchReport(baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "saebft-bench: loading baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := saebft.CompareBenchReports(rep, base, maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("within %.0f%% of baseline %s\n", maxRegress*100, baseline)
 	}
 }

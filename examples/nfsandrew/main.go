@@ -10,15 +10,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/saebft"
+	"repro/saebft/paperfig"
 )
 
 func main() {
-	cfg := saebft.AndrewConfig{N: 1, Dirs: 3, FilesPerDir: 4, FileSize: 2048}
+	cfg := paperfig.AndrewConfig{N: 1, Dirs: 3, FilesPerDir: 4, FileSize: 2048}
 	fmt.Printf("Andrew-%d: %d dirs x %d files x %dB per iteration\n\n",
 		cfg.N, cfg.Dirs, cfg.FilesPerDir, cfg.FileSize)
 
-	runs, err := saebft.RunAndrewComparison(cfg, 512)
+	runs, err := paperfig.RunAndrewComparison(cfg, 512)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -169,13 +169,12 @@ func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transpo
 		dests = b.Top.Filters[0]
 	}
 	queue, err := mqueue.New(mqueue.Config{
-		ID:           id,
-		Topology:     b.Top,
-		OrderAuth:    b.orderAuth(id),
-		Verifier:     b.verifier(id),
-		Dests:        dests,
-		Pipeline:     b.Opts.Pipeline,
-		CacheReplies: true,
+		ID:        id,
+		Topology:  b.Top,
+		OrderAuth: b.orderAuth(id),
+		Verifier:  b.verifier(id),
+		Dests:     dests,
+		Pipeline:  b.Opts.Pipeline,
 	}, send)
 	if err != nil {
 		closeStore()

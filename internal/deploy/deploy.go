@@ -445,7 +445,7 @@ func StartBuilderNodeOpts(b *core.Builder, addrs map[types.NodeID]string, id typ
 	case types.RoleFilter:
 		node, err = b.FilterNode(id, tcp.Send)
 	default:
-		err = fmt.Errorf("deploy: StartNode does not run clients; use NewTCPClient")
+		err = fmt.Errorf("deploy: StartNode does not run clients; dial the deployment with saebft.DialConfig")
 	}
 	if err != nil {
 		tcp.Close()
@@ -454,121 +454,4 @@ func StartBuilderNodeOpts(b *core.Builder, addrs map[types.NodeID]string, id typ
 	rt, handler := transport.NewRuntime(node, tcp.Now, time.Millisecond)
 	runtimeHandler.Store(&handler)
 	return &RunningNode{ID: id, Role: role, Net: tcp, node: node, runtime: rt}, nil
-}
-
-// TCPClient is a synchronous client over TCP.
-type TCPClient struct {
-	ID     types.NodeID
-	client *core.Client
-	net    *transport.TCPNet
-	rt     *transport.Runtime
-	mu     chan struct{} // serializes Call against the runtime goroutine
-}
-
-// NewTCPClient connects a client identity from the config, with the link
-// security the config prescribes.
-func NewTCPClient(cfg *Config, id types.NodeID) (*TCPClient, error) {
-	opts, err := cfg.Options()
-	if err != nil {
-		return nil, err
-	}
-	b, err := core.NewBuilder(opts)
-	if err != nil {
-		return nil, err
-	}
-	if role, _, ok := b.Top.RoleOf(id); !ok || role != types.RoleClient {
-		return nil, fmt.Errorf("deploy: %v is not a client in this topology", id)
-	}
-	addrs, err := cfg.addrMap()
-	if err != nil {
-		return nil, err
-	}
-	sec, err := cfg.Security(id)
-	if err != nil {
-		return nil, err
-	}
-	var runtimeHandler atomic.Pointer[func(from types.NodeID, data []byte)]
-	tcp, err := transport.NewTCPNetOpts(id, addrs, func(from types.NodeID, data []byte) {
-		if h := runtimeHandler.Load(); h != nil {
-			(*h)(from, data)
-		}
-	}, transport.TCPOptions{Security: sec})
-	if err != nil {
-		return nil, err
-	}
-	cl, err := b.ClientNode(id, tcp.Send)
-	if err != nil {
-		tcp.Close()
-		return nil, err
-	}
-	// Start above any previous process's timestamps for this identity, or
-	// the executors' exactly-once reply table would answer the first
-	// request from cache.
-	cl.SetTimestamp(types.Timestamp(time.Now().UnixNano()))
-	tc := &TCPClient{ID: id, client: cl, net: tcp, mu: make(chan struct{}, 1)}
-	tc.mu <- struct{}{}
-	rt, handler := transport.NewRuntime(&clientNode{cl}, tcp.Now, time.Millisecond)
-	runtimeHandler.Store(&handler)
-	tc.rt = rt
-	return tc, nil
-}
-
-// clientNode adapts Client to transport.Node for the runtime (Client already
-// implements the interface; the wrapper only exists to keep the runtime from
-// being confused with the synchronous Call path below).
-type clientNode struct{ c *core.Client }
-
-func (n *clientNode) Deliver(from types.NodeID, data []byte, now types.Time) {
-	n.c.Deliver(from, data, now)
-}
-
-func (n *clientNode) Tick(now types.Time) { n.c.Tick(now) }
-
-// Call submits one operation and blocks until the certified reply arrives or
-// the timeout expires. Safe for use from one goroutine at a time.
-func (c *TCPClient) Call(op []byte, timeout time.Duration) ([]byte, error) {
-	<-c.mu
-	defer func() { c.mu <- struct{}{} }()
-	// The runtime goroutine owns the client state; Submit and result
-	// polling run on it via Runtime.Do so the protocol core stays
-	// single-threaded.
-	errc := make(chan error, 1)
-	c.rt.Do(func(now types.Time) {
-		if err := c.client.Submit(op, now); err != nil {
-			errc <- err
-		}
-	})
-	deadline := time.Now().Add(timeout)
-	for {
-		select {
-		case err := <-errc:
-			return nil, err
-		default:
-		}
-		var result []byte
-		var ok bool
-		c.rt.Do(func(now types.Time) {
-			if c.client.HasResult() {
-				result, ok = c.client.Result()
-			}
-		})
-		if ok {
-			return result, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("deploy: request timed out after %v", timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// SetQuiet silences transport logging.
-func (c *TCPClient) SetQuiet() {
-	c.net.SetLogf(func(string, ...interface{}) {})
-}
-
-// Close disconnects the client.
-func (c *TCPClient) Close() {
-	c.rt.Close()
-	c.net.Close()
 }

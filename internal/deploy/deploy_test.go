@@ -5,10 +5,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
-
-	"repro/internal/apps/kv"
-	"repro/internal/types"
 )
 
 // freePorts reserves n distinct loopback ports by binding and releasing.
@@ -78,84 +74,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// startAll launches every non-client node of the config.
-func startAll(t *testing.T, cfg *Config) []*RunningNode {
-	t.Helper()
-	opts, err := cfg.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = opts
-	var nodes []*RunningNode
-	for k := range cfg.Addrs {
-		idInt, _ := strconv.Atoi(k)
-		id := types.NodeID(idInt)
-		if id >= 1000 { // clients are driven separately
-			continue
-		}
-		n, err := StartNode(cfg, id)
-		if err != nil {
-			t.Fatalf("starting node %v: %v", id, err)
-		}
-		n.Net.SetLogf(func(string, ...interface{}) {})
-		nodes = append(nodes, n)
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
-	return nodes
-}
-
-func TestTCPClusterEndToEndSeparate(t *testing.T) {
-	cfg := testConfig(t, "separate")
-	startAll(t, cfg)
-
-	client, err := NewTCPClient(cfg, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	reply, err := client.Call(kv.Put("hello", []byte("world")), 10*time.Second)
-	if err != nil {
-		t.Fatalf("put over TCP: %v", err)
-	}
-	if string(reply) != "OK" {
-		t.Fatalf("put reply = %q", reply)
-	}
-	reply, err = client.Call(kv.GetOp("hello"), 10*time.Second)
-	if err != nil {
-		t.Fatalf("get over TCP: %v", err)
-	}
-	if string(reply) != "world" {
-		t.Fatalf("get reply = %q", reply)
-	}
-}
-
-func TestTCPClusterFirewall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP firewall cluster in -short mode")
-	}
-	cfg := testConfig(t, "firewall")
-	startAll(t, cfg)
-
-	client, err := NewTCPClient(cfg, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	reply, err := client.Call(kv.Put("k", []byte("v")), 20*time.Second)
-	if err != nil {
-		t.Fatalf("put through firewall over TCP: %v", err)
-	}
-	if string(reply) != "OK" {
-		t.Fatalf("put reply = %q", reply)
-	}
-}
-
 func TestStartNodeRejectsUnknownID(t *testing.T) {
 	cfg := testConfig(t, "separate")
 	if _, err := StartNode(cfg, 9999); err == nil {
@@ -163,8 +81,5 @@ func TestStartNodeRejectsUnknownID(t *testing.T) {
 	}
 	if _, err := StartNode(cfg, 1000); err == nil {
 		t.Error("StartNode accepted a client identity")
-	}
-	if _, err := NewTCPClient(cfg, 0); err == nil {
-		t.Error("NewTCPClient accepted a replica identity")
 	}
 }

@@ -6,10 +6,10 @@
 // agreement certificates in pendingSends, forwards them toward the execution
 // cluster (directly, or into the privacy firewall), and retransmits with
 // exponential backoff until a valid reply certificate for an equal-or-higher
-// sequence number arrives. Replies are relayed to clients and optionally
-// cached per client for retransmission handling (cache_c). A pipeline depth
-// P bounds outstanding work: insert(n) is refused until a reply ≥ n−P has
-// been seen, which the engine observes as backpressure.
+// sequence number arrives. Replies are relayed to clients and cached per
+// client for retransmission handling (cache_c). A pipeline depth P bounds
+// outstanding work: insert(n) is refused until a reply ≥ n−P has been seen,
+// which the engine observes as backpressure.
 package mqueue
 
 import (
@@ -41,16 +41,6 @@ type Config struct {
 
 	Pipeline          int        // P: max outstanding sequence numbers
 	RetransmitInitial types.Time // first retransmission timeout (then doubles)
-
-	// PrimaryOnly defers this replica's initial send to the retransmission
-	// timeout unless it is the current primary (the paper's optimization:
-	// "only the current primary needs to send it; all nodes retransmit if
-	// the timeout expires").
-	PrimaryOnly bool
-
-	// CacheReplies enables cache_c, the per-client reply certificate cache
-	// (an optimization required for neither safety nor liveness, §3.1.2).
-	CacheReplies bool
 }
 
 func (c *Config) fillDefaults() {
@@ -67,8 +57,6 @@ type pendingSend struct {
 	order    *wire.Order
 	deadline types.Time
 	interval types.Time
-	isPrim   bool // this replica was primary when inserting
-	sent     bool
 }
 
 // Queue is one agreement replica's message queue instance. It implements
@@ -148,16 +136,10 @@ func (q *Queue) Execute(v types.View, n types.SeqNum, nd types.NonDet, reqs []wi
 		return
 	}
 	order := &wire.Order{View: v, Seq: n, ND: nd, Requests: reqs, Replica: q.cfg.ID, Att: att}
-	ps := &pendingSend{
-		order:    order,
-		interval: q.cfg.RetransmitInitial,
-		isPrim:   q.top.Primary(v) == q.cfg.ID,
-	}
+	ps := &pendingSend{order: order, interval: q.cfg.RetransmitInitial}
 	ps.deadline = now + ps.interval
 	q.pending[n] = ps
-	if !q.cfg.PrimaryOnly || ps.isPrim {
-		q.sendOrder(ps)
-	}
+	q.sendOrder(ps)
 }
 
 func (q *Queue) sendOrder(ps *pendingSend) {
@@ -165,7 +147,6 @@ func (q *Queue) sendOrder(ps *pendingSend) {
 	for _, d := range q.cfg.Dests {
 		q.send(d, data)
 	}
-	ps.sent = true
 }
 
 // ResendReply is msgQueue.retryHint: answer a client retransmission from
@@ -301,9 +282,7 @@ func (q *Queue) acceptCert(cert *wire.ReplyCert, now types.Time) {
 	for _, id := range ids {
 		q.send(id, data)
 		q.Metrics.RepliesSent++
-		if q.cfg.CacheReplies {
-			q.cache[id] = cert
-		}
+		q.cache[id] = cert
 	}
 	q.maybeFinishSync()
 }

@@ -77,7 +77,6 @@ func newWorld(t *testing.T, mutate func(*Config)) *world {
 		Dests:             top.Execution,
 		Pipeline:          4,
 		RetransmitInitial: types.Millisecond(10),
-		CacheReplies:      true,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -305,32 +304,6 @@ func TestTickRetransmitsWithBackoff(t *testing.T) {
 	}
 	if w.q.Metrics.Retransmits != 2 {
 		t.Errorf("retransmit metric = %d", w.q.Metrics.Retransmits)
-	}
-}
-
-func TestPrimaryOnlyDefersInitialSend(t *testing.T) {
-	// Replica 1 is not the view-0 primary: with PrimaryOnly it must not
-	// send until the retransmission timer fires (§3.2.1 optimization).
-	w := newWorld(t, func(c *Config) {
-		c.ID = 1
-		c.OrderAuth = nil // set below
-		c.PrimaryOnly = true
-	})
-	w.q.cfg.OrderAuth = w.schemes[1]
-	w.q.Execute(0, 1, types.NonDet{}, []wire.Request{req(1)}, 0)
-	if got := len(w.cap.ordersTo(100)); got != 0 {
-		t.Fatalf("non-primary sent immediately under PrimaryOnly: %d", got)
-	}
-	w.q.Tick(types.Millisecond(11))
-	if got := len(w.cap.ordersTo(100)); got != 1 {
-		t.Fatalf("timeout did not trigger the deferred send: %d", got)
-	}
-
-	// The primary itself still sends immediately.
-	wp := newWorld(t, func(c *Config) { c.PrimaryOnly = true })
-	wp.q.Execute(0, 1, types.NonDet{}, []wire.Request{req(1)}, 0)
-	if got := len(wp.cap.ordersTo(100)); got != 1 {
-		t.Fatalf("primary did not send immediately under PrimaryOnly: %d", got)
 	}
 }
 

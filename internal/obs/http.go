@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -90,27 +89,6 @@ func (s *OpsServer) Close() error {
 	// a connection open for its full profiling window, and a stopping node
 	// must not wait on it.
 	err := s.srv.Close()
-	<-s.done
-	return err
-}
-
-// Drain is the graceful counterpart to Close: it stops listening, lets
-// in-flight handlers finish — including a pprof profiling window — and then
-// waits for the serve goroutine. For short-lived processes (saebft-bench)
-// whose whole point of serving the endpoint is a profile capture that may
-// outlast the workload. Idempotent; nil-safe.
-func (s *OpsServer) Drain() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.srv.Shutdown(context.Background())
 	<-s.done
 	return err
 }

@@ -16,8 +16,9 @@ import (
 // The paper's client model keeps exactly one request outstanding (§2). A
 // handle multiplexes many such logical clients behind one surface: each
 // Invoke/InvokeAsync leases a free logical client, runs the operation
-// through it, and returns it to the pool — so up to Pipeline() invocations
-// proceed concurrently and further calls queue for the next free slot.
+// through it, and returns it to the pool — so up to ClientStats().Pipeline
+// invocations proceed concurrently and further calls queue for the next free
+// slot.
 //
 // With client-side batching enabled (WithClientBatching / DialBatching),
 // operations are instead coalesced into multi-op requests: concurrent
@@ -172,36 +173,6 @@ func (h *Client) pipelineWidth() int {
 	return h.bat.ctrl.width()
 }
 
-// Pipeline reports the handle's maximum pipelining depth.
-//
-// Deprecated: use ClientStats().Pipeline.
-func (h *Client) Pipeline() int { return h.width }
-
-// PipelineWidth reports the adaptive controller's current dispatch width.
-//
-// Deprecated: use ClientStats().PipelineWidth.
-func (h *Client) PipelineWidth() int { return h.pipelineWidth() }
-
-// Batches reports how many batched requests completed successfully.
-//
-// Deprecated: use ClientStats().Batches.
-func (h *Client) Batches() uint64 { return h.batches.Load() }
-
-// BatchedOps reports how many operations completed through batching.
-//
-// Deprecated: use ClientStats().BatchedOps.
-func (h *Client) BatchedOps() uint64 { return h.batchedOps.Load() }
-
-// InFlight reports how many invocations are currently admitted.
-//
-// Deprecated: use ClientStats().InFlight.
-func (h *Client) InFlight() int { return int(h.inFlight.Load()) }
-
-// MaxInFlight reports the high-water mark of admitted invocations.
-//
-// Deprecated: use ClientStats().MaxInFlight.
-func (h *Client) MaxInFlight() int { return int(h.maxInFlight.Load()) }
-
 func (h *Client) lease(ctx context.Context) (int, error) {
 	select {
 	case idx := <-h.free:
@@ -345,13 +316,13 @@ func (h *Client) Session() *Session {
 }
 
 // InvokeAsync submits one operation without blocking and returns a channel
-// that receives exactly one Result. Up to Pipeline() invocations run
-// concurrently; beyond that, calls wait (off the caller's goroutine) for a
-// free slot. A canceled context resolves the invocation with ctx.Err() —
-// promptly on the batching path (the operation may still execute as part
-// of its batch), or once its logical client has quiesced on the unbatched
-// path. Closing the owning cluster (or the dialed handle) drains queued
-// invocations with ErrClosed.
+// that receives exactly one Result. Up to ClientStats().Pipeline
+// invocations run concurrently; beyond that, calls wait (off the caller's
+// goroutine) for a free slot. A canceled context resolves the invocation
+// with ctx.Err() — promptly on the batching path (the operation may still
+// execute as part of its batch), or once its logical client has quiesced on
+// the unbatched path. Closing the owning cluster (or the dialed handle)
+// drains queued invocations with ErrClosed.
 func (h *Client) InvokeAsync(ctx context.Context, op []byte) <-chan Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -366,7 +337,8 @@ func (h *Client) InvokeAsync(ctx context.Context, op []byte) <-chan Result {
 		return ch
 	}
 	// Lease synchronously when a slot is free: the invocation is then
-	// admitted (visible in InFlight) before InvokeAsync returns.
+	// admitted (visible in ClientStats().InFlight) before InvokeAsync
+	// returns.
 	select {
 	case idx := <-h.free:
 		h.admit()

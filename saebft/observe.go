@@ -52,31 +52,6 @@ type TraceSpan struct {
 	Note string
 }
 
-// OpsEndpoint is a standalone ops HTTP server for processes that have no
-// Cluster or Node to hang one on (saebft-bench serves its pprof handlers
-// through it). Close stops it gracefully: in-flight handlers — including a
-// pprof profiling window that outlasts the workload — finish first, so a
-// profile capture racing process exit still completes.
-type OpsEndpoint struct{ srv *obs.OpsServer }
-
-// ServeOps binds addr ("host:port"; ":0" picks a free port) and serves the
-// process-level ops endpoint: the standard pprof handlers under
-// /debug/pprof/, plus empty /metrics and /debug/trace documents (those are
-// populated on Cluster- and Node-owned endpoints, which carry a registry).
-func ServeOps(addr string) (*OpsEndpoint, error) {
-	srv, err := obs.ServeOps(addr, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &OpsEndpoint{srv: srv}, nil
-}
-
-// Addr returns the bound listen address.
-func (e *OpsEndpoint) Addr() string { return e.srv.Addr() }
-
-// Close stops the endpoint, letting in-flight handlers finish. Idempotent.
-func (e *OpsEndpoint) Close() error { return e.srv.Drain() }
-
 // lowerSamples converts registry samples to the public Metric type.
 func lowerSamples(samples []obs.Sample) []Metric {
 	out := make([]Metric, 0, len(samples))
@@ -108,9 +83,6 @@ func lowerSpans(spans []obs.Span) []TraceSpan {
 // registerClientObs folds the handle's atomic counters into a registry as
 // func-backed series, so /metrics and ClientStats read the same values.
 func (h *Client) registerClientObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("saebft_client_pipeline_width",
 		"batch dispatches the adaptive controller currently allows in flight",
 		func() float64 { return float64(h.pipelineWidth()) })
@@ -134,14 +106,10 @@ func (h *Client) registerClientObs(reg *obs.Registry) {
 // Metrics snapshots the handle's metrics registry: for a cluster-owned
 // handle the whole cluster's registry (same as Cluster.Metrics), for a
 // dialed handle this process's client-side series — the pipeline, batching,
-// and certified-read counters plus each endpoint's link series. Nil when
-// observability is disabled.
+// and certified-read counters plus each endpoint's link series.
 func (h *Client) Metrics() []Metric {
 	if h.cluster != nil {
 		return h.cluster.Metrics()
-	}
-	if h.reg == nil {
-		return nil
 	}
 	return lowerSamples(h.reg.Snapshot())
 }
@@ -151,32 +119,22 @@ func (h *Client) Metrics() []Metric {
 // (saebft_wal_*), transport links (saebft_link_*, TCP transport only), and
 // the client path (saebft_client_*). Series carry a node="<id>" label where
 // they are per-node. Works on any transport — the registry is plain shared
-// memory — and returns nil when observability is disabled
-// (WithObservability(false)).
+// memory.
 func (c *Cluster) Metrics() []Metric {
-	if c.o.obsReg == nil {
-		return nil
-	}
 	return lowerSamples(c.o.obsReg.Snapshot())
 }
 
 // WriteMetrics writes the cluster's registry in Prometheus text exposition
 // format (version 0.0.4) — the same bytes WithMetricsAddr serves on
-// /metrics. No-op when observability is disabled.
+// /metrics.
 func (c *Cluster) WriteMetrics(w io.Writer) error {
-	if c.o.obsReg == nil {
-		return nil
-	}
 	return c.o.obsReg.WritePrometheus(w)
 }
 
 // Trace dumps the cluster's per-operation trace ring, oldest span first.
 // The ring is bounded (the newest DefaultTraceCap spans are kept), so this
-// is a tail, not a full history. Nil when observability is disabled.
+// is a tail, not a full history.
 func (c *Cluster) Trace() []TraceSpan {
-	if c.o.obsTrace == nil {
-		return nil
-	}
 	return lowerSpans(c.o.obsTrace.Dump())
 }
 

@@ -37,11 +37,10 @@ type options struct {
 	readTimeout   time.Duration
 	transport     Transport
 	tls           TLSConfig
-	obsOff        bool
 	metricsAddr   string
 
-	// obsReg and obsTrace are built by fillDefaults (unless observability
-	// is disabled) and shared by every layer of the cluster.
+	// obsReg and obsTrace are built by fillDefaults and shared by every
+	// layer of the cluster.
 	obsReg   *obs.Registry
 	obsTrace *obs.Tracer
 }
@@ -280,21 +279,12 @@ func WithReadTimeout(d time.Duration) Option {
 // SimTransport().
 func WithTransport(t Transport) Option { return func(o *options) { o.transport = t } }
 
-// WithObservability toggles the cluster's metrics registry and trace ring
-// (on by default). Every layer records into them — agreement phase
-// latencies, execution apply lag, WAL fsync cost, link counters, client
-// pipeline state — behind lock-free atomics; turning them off is for
-// quantifying that overhead (the bench suite does), not for production.
-func WithObservability(on bool) Option { return func(o *options) { o.obsOff = !on } }
-
 // WithMetricsAddr serves the cluster's ops HTTP endpoint on addr once
 // Start succeeds: Prometheus text on /metrics, the per-operation trace
 // ring on /debug/trace, and the standard pprof handlers under
 // /debug/pprof/. Pass "127.0.0.1:0" to let the kernel pick a port
-// (Cluster.OpsAddr reports it). Implies observability.
-func WithMetricsAddr(addr string) Option {
-	return func(o *options) { o.metricsAddr = addr; o.obsOff = false }
-}
+// (Cluster.OpsAddr reports it).
+func WithMetricsAddr(addr string) Option { return func(o *options) { o.metricsAddr = addr } }
 
 func (o *options) fillDefaults() {
 	if o.clients == 0 {
@@ -309,10 +299,8 @@ func (o *options) fillDefaults() {
 	if o.appName == "" {
 		o.appName = "kv"
 	}
-	if !o.obsOff {
-		o.obsReg = obs.NewRegistry()
-		o.obsTrace = obs.NewTracer(obs.DefaultTraceCap)
-	}
+	o.obsReg = obs.NewRegistry()
+	o.obsTrace = obs.NewTracer(obs.DefaultTraceCap)
 }
 
 // coreOptions lowers the public options to the internal composition layer.

@@ -1,4 +1,10 @@
-package saebft
+// Package paperfig regenerates the evaluation of the source paper (§5) —
+// the tables and figures of Figures 3–7 and the Andrew-N comparison — on the
+// simulated cluster with compute-time accounting. It is the public facade
+// over the reproduction that cmd/saebft-bench and examples/nfsandrew drive;
+// the embedding API itself lives in package saebft and exports no
+// benchmark code.
+package paperfig
 
 import (
 	"fmt"
@@ -8,29 +14,29 @@ import (
 	"repro/internal/core"
 )
 
-// BenchScale selects how long the evaluation benchmarks run.
-type BenchScale int
+// Scale selects how long the evaluation benchmarks run.
+type Scale int
 
 const (
-	// BenchQuick is sized for CI and demos (seconds of wall time).
-	BenchQuick BenchScale = iota
-	// BenchFull approaches the paper's run lengths (minutes), with
-	// 1024-bit threshold keys.
-	BenchFull
+	// Quick is sized for CI and demos (seconds of wall time).
+	Quick Scale = iota
+	// Full approaches the paper's run lengths (minutes), with 1024-bit
+	// threshold keys.
+	Full
 )
 
-func (s BenchScale) scale() bench.Scale {
-	if s == BenchFull {
+func (s Scale) scale() bench.Scale {
+	if s == Full {
 		return bench.FullScale()
 	}
 	return bench.QuickScale()
 }
 
-// BenchFigures lists the paper-evaluation figures RunBenchFigure accepts.
-func BenchFigures() []string { return []string{"3", "4", "5", "6", "7"} }
+// Figures lists the paper-evaluation figures RunFigure accepts.
+func Figures() []string { return []string{"3", "4", "5", "6", "7"} }
 
-// RunBenchFigure regenerates one table/figure of the paper's evaluation
-// (§5) on the simulated cluster with compute-time accounting, returning its
+// RunFigure regenerates one table/figure of the paper's evaluation (§5) on
+// the simulated cluster with compute-time accounting, returning its
 // rendered text:
 //
 //	"3" — null-server latency table
@@ -38,7 +44,7 @@ func BenchFigures() []string { return []string{"3", "4", "5", "6", "7"} }
 //	"5" — response time vs load and bundle size
 //	"6" — Andrew-N phase times
 //	"7" — Andrew-N with failures
-func RunBenchFigure(figure string, scale BenchScale) (string, error) {
+func RunFigure(figure string, scale Scale) (string, error) {
 	sc := scale.scale()
 	switch figure {
 	case "3":
@@ -56,7 +62,7 @@ func RunBenchFigure(figure string, scale BenchScale) (string, error) {
 		out, _, err := bench.Figure7(sc)
 		return out, err
 	default:
-		return "", fmt.Errorf("saebft: unknown figure %q (have %v)", figure, BenchFigures())
+		return "", fmt.Errorf("paperfig: unknown figure %q (have %v)", figure, Figures())
 	}
 }
 

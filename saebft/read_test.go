@@ -187,6 +187,48 @@ func TestSessionsIsolateReadFloors(t *testing.T) {
 	}
 }
 
+// TestCertifiedReadThroughputGain is the read path's acceptance property:
+// 64 concurrent read-only calls on the simulated transport must complete at
+// least 2x faster in virtual time through ReadCertified (one round trip to
+// the execution replicas) than through Invoke (the whole three-phase
+// protocol first), with every read certified on the fast path.
+func TestCertifiedReadThroughputGain(t *testing.T) {
+	const n = 64
+	op := make([]byte, 128)
+	run := func(certified bool) (float64, ClientStats) {
+		c := startSim(t, WithApp("null"), WithClients(8), WithInvokeTimeout(2*time.Minute))
+		defer c.Close()
+		cl := c.Client()
+		// One warm-up write settles the view and lifts the handle's watermark
+		// above zero, so certified reads pay the read-your-writes floor check.
+		if _, err := cl.Invoke(context.Background(), op); err != nil {
+			t.Fatal(err)
+		}
+		serve := cl.Invoke
+		if certified {
+			serve = cl.ReadCertified
+		}
+		rate := virtualThroughput(t, c, n, func(ctx context.Context) <-chan Result {
+			ch := make(chan Result, 1)
+			go func() {
+				reply, err := serve(ctx, op)
+				ch <- Result{Reply: reply, Err: err}
+			}()
+			return ch
+		})
+		return rate, cl.ClientStats()
+	}
+	invoked, _ := run(false)
+	certified, cs := run(true)
+	t.Logf("invoke %.0f reads/s, certified %.0f reads/s (%.1fx)", invoked, certified, certified/invoked)
+	if cs.ReadsCertified != n || cs.ReadFallbacks != 0 {
+		t.Fatalf("%d/%d reads certified, %d fell back; want all on the fast path", cs.ReadsCertified, n, cs.ReadFallbacks)
+	}
+	if certified < 2*invoked {
+		t.Fatalf("certified read speedup = %.2fx, want >= 2x", certified/invoked)
+	}
+}
+
 // scriptedRuntime fakes a clusterRuntime so the Session retry policy can be
 // exercised deterministically, attempt by attempt.
 type scriptedRuntime struct {

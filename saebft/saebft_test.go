@@ -24,6 +24,35 @@ func startSim(t *testing.T, opts ...Option) *Cluster {
 	return c
 }
 
+// virtualThroughput issues n calls back to back against a started
+// sim-transport cluster, so all n are in flight together, and returns their
+// completion rate over the virtual clock, which — unlike wall time — does
+// not depend on the machine.
+func virtualThroughput(t *testing.T, c *Cluster, n int, issue func(context.Context) <-chan Result) float64 {
+	t.Helper()
+	start, err := c.VirtualTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]<-chan Result, n)
+	for i := range results {
+		results[i] = issue(context.Background())
+	}
+	for i, ch := range results {
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("call %d: %v", i, res.Err)
+		}
+	}
+	end, err := c.VirtualTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end <= start {
+		t.Fatalf("virtual clock did not advance over %d calls", n)
+	}
+	return float64(n) / (end - start).Seconds()
+}
+
 func TestSmokeAllModes(t *testing.T) {
 	for _, mode := range []Mode{ModeBase, ModeSeparate, ModeFirewall} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -238,8 +267,8 @@ func TestConcurrentInvokeAsync(t *testing.T) {
 	const total = 2 * width
 	c := startSim(t, WithMode(ModeSeparate), WithApp("kv"), WithClients(width))
 	cl := c.Client()
-	if cl.Pipeline() != width {
-		t.Fatalf("Pipeline = %d, want %d", cl.Pipeline(), width)
+	if cl.ClientStats().Pipeline != width {
+		t.Fatalf("Pipeline = %d, want %d", cl.ClientStats().Pipeline, width)
 	}
 
 	sr, err := c.sim()
@@ -259,7 +288,7 @@ func TestConcurrentInvokeAsync(t *testing.T) {
 	}
 	// With the driver parked, exactly `width` invocations are admitted —
 	// the pipelined in-flight window — and the rest are queued.
-	if got := cl.InFlight(); got != width {
+	if got := cl.ClientStats().InFlight; got != width {
 		t.Fatalf("InFlight with driver parked = %d, want %d", got, width)
 	}
 	sr.holdStepping.Store(false)
@@ -273,10 +302,10 @@ func TestConcurrentInvokeAsync(t *testing.T) {
 			t.Fatalf("op %d reply = %q", i, res.Reply)
 		}
 	}
-	if got := cl.MaxInFlight(); got < width {
+	if got := cl.ClientStats().MaxInFlight; got < width {
 		t.Fatalf("MaxInFlight = %d, want >= %d", got, width)
 	}
-	if got := cl.InFlight(); got != 0 {
+	if got := cl.ClientStats().InFlight; got != 0 {
 		t.Fatalf("InFlight after completion = %d, want 0", got)
 	}
 

@@ -3,8 +3,10 @@ package saebft
 import (
 	"bytes"
 	"context"
-	"net"
+	"errors"
+	"fmt"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -96,74 +98,51 @@ func TestTCPFirewallRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiProcessConfigDeployment exercises the config → StartNode → Dial
-// path that the saebft-node / saebft-client commands wrap: every replica
-// runs on its own listener (here in one process) and a dialed handle talks
-// to them over TCP.
+// TestMultiProcessConfigDeployment exercises the config → NewNode →
+// DialConfig path that the saebft-node / saebft-client commands wrap, in the
+// separated and the privacy-firewall topology: every replica runs on its own
+// listener (here in one process) and a dialed handle talks to them over TCP.
 func TestMultiProcessConfigDeployment(t *testing.T) {
-	cfg, err := GenerateConfig(DeployParams{
-		Mode:          ModeSeparate,
-		App:           "counter",
-		Seed:          "saebft-test-seed",
-		ThresholdBits: 512,
-		BasePort:      0, // overwritten below with free ports
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replace the static port plan with kernel-assigned free ports so
-	// parallel test runs cannot collide.
-	for k := range cfg.d.Addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.d.Addrs[k] = ln.Addr().String()
-		ln.Close()
-	}
+	for _, mode := range []Mode{ModeSeparate, ModeFirewall} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg, err := GenerateConfig(DeployParams{
+				Mode:          mode,
+				App:           "counter",
+				Seed:          "saebft-test-seed",
+				ThresholdBits: 512,
+				BasePort:      0, // overwritten below with free ports
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			freePortConfig(t, cfg)
 
-	// The config round-trips through disk like a real deployment's.
-	path := filepath.Join(t.TempDir(), "cluster.json")
-	if err := cfg.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.App() != "counter" || loaded.Mode() != ModeSeparate {
-		t.Fatalf("loaded config disagrees: app=%q mode=%v", loaded.App(), loaded.Mode())
-	}
+			// The config round-trips through disk like a real deployment's.
+			path := filepath.Join(t.TempDir(), "cluster.json")
+			if err := cfg.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadConfig(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.App() != "counter" || loaded.Mode() != mode {
+				t.Fatalf("loaded config disagrees: app=%q mode=%v", loaded.App(), loaded.Mode())
+			}
+			// Only client identities dial; replica 0 runs as a node.
+			if _, err := DialConfig(loaded, DialClients(0)); err == nil {
+				t.Fatal("DialConfig accepted a replica identity")
+			}
 
-	roundTrip(t, loaded)
+			roundTrip(t, loaded)
+		})
+	}
 }
 
 func roundTrip(t *testing.T, cfg *Config) {
 	t.Helper()
 	ctx := context.Background()
-	nodes, err := cfg.Nodes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var running []*Node
-	defer func() {
-		for _, n := range running {
-			n.Close()
-		}
-	}()
-	for _, ni := range nodes {
-		if ni.Role == "client" {
-			continue
-		}
-		n, err := NewNode(cfg, ni.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(ctx); err != nil {
-			t.Fatalf("starting %s node %d: %v", ni.Role, ni.ID, err)
-		}
-		running = append(running, n)
-	}
+	startNodes(t, cfg)
 
 	cl, err := DialConfig(cfg, DialTimeout(20*time.Second))
 	if err != nil {
@@ -184,5 +163,51 @@ func roundTrip(t *testing.T, cfg *Config) {
 		t.Fatalf("add: %v", err)
 	} else if string(reply) != "42" {
 		t.Fatalf("add reply = %q, want 42", reply)
+	}
+}
+
+// startNodes runs every replica of cfg in this process until the test ends.
+// The ports freePortConfig picked are released before the nodes bind them,
+// so another socket can take one first; when that happens the ports are
+// picked again and every node starts over.
+func startNodes(t *testing.T, cfg *Config) {
+	t.Helper()
+	infos, err := cfg.Nodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 1; ; attempt++ {
+		var running []*Node
+		err := func() error {
+			for _, ni := range infos {
+				if ni.Role == "client" {
+					continue
+				}
+				n, err := NewNode(cfg, ni.ID)
+				if err != nil {
+					return err
+				}
+				if err := n.Start(context.Background()); err != nil {
+					return fmt.Errorf("starting %s node %d: %w", ni.Role, ni.ID, err)
+				}
+				running = append(running, n)
+			}
+			return nil
+		}()
+		if err == nil {
+			t.Cleanup(func() {
+				for _, n := range running {
+					n.Close()
+				}
+			})
+			return
+		}
+		for _, n := range running {
+			n.Close()
+		}
+		if attempt == 3 || !errors.Is(err, syscall.EADDRINUSE) {
+			t.Fatal(err)
+		}
+		freePortConfig(t, cfg)
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 			nodeOpts = append(nodeOpts, saebft.NodeVolatileVotes())
 		}
 	}
-	tlsOpts, err := tlsNodeOptions(cfg, *id, *useTLS, tlsFlagSet(), *caFile, *certFile, *keyFile)
+	tlsOpts, err := tlsOptions(cfg, *id, *useTLS, tlsFlagSet(), *caFile, *certFile, *keyFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "saebft-node:", err)
 		os.Exit(1)
@@ -186,9 +186,9 @@ func tlsFlagSet() bool {
 	return set
 }
 
-// tlsNodeOptions maps the shared saebft.TLSFlags resolution onto node
+// tlsOptions maps the shared saebft.TLSFlags resolution onto node
 // options.
-func tlsNodeOptions(cfg *saebft.Config, id int, useTLS, tlsSet bool, ca, cert, key string) ([]saebft.NodeOption, error) {
+func tlsOptions(cfg *saebft.Config, id int, useTLS, tlsSet bool, ca, cert, key string) ([]saebft.NodeOption, error) {
 	flags := saebft.TLSFlags{TLS: useTLS, TLSSet: tlsSet, CA: ca, Cert: cert, Key: key}
 	rca, rcert, rkey, insecure, err := flags.Resolve(cfg, id)
 	switch {

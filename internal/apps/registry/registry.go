@@ -1,7 +1,7 @@
 // Package registry is the shared catalog of replicated applications. The
-// deploy package and the public saebft API both resolve application names
-// ("kv", "counter", "nfs", "null") through it, so a name in a deployment
-// config and a name passed to saebft.WithApp mean the same thing, and
+// public saebft API resolves application names ("kv", "counter", "nfs",
+// "null") through it, both in deployment config files and in
+// saebft.WithApp, so the two mean the same thing, and
 // embedders can register their own state machines under new names.
 package registry
 

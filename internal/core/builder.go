@@ -19,9 +19,9 @@ import (
 )
 
 // Builder constructs individual nodes of a deployment. BuildSim uses it to
-// assemble a simulated cluster; the deploy package uses it to run each node
-// as its own OS process over TCP, with identical key material derived from
-// the shared seed.
+// assemble a simulated cluster; the saebft package uses it to run each node
+// over TCP, in its own OS process in a real deployment, with identical key
+// material derived from the shared seed.
 type Builder struct {
 	Opts Options
 	Top  *types.Topology

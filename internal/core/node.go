@@ -49,7 +49,7 @@ func (n *AgreementNode) Tick(now types.Time) {
 }
 
 // Shutdown flushes and closes the engine's durable store (graceful-exit
-// path); the deploy layer invokes it before tearing the runtime down.
+// path); the TCP launcher invokes it before tearing the runtime down.
 func (n *AgreementNode) Shutdown() { n.Engine.Shutdown() }
 
 // CrashStop abandons the engine's store without flushing (crash tests).

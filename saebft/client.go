@@ -77,8 +77,10 @@ func newClusterClient(c *Cluster, width int, timeout, readTimeout time.Duration)
 	return h
 }
 
-func newDialedClient(rt clusterRuntime, width int, timeout, readTimeout time.Duration) *Client {
-	h := newHandle(width, timeout, readTimeout)
+// newDialedClient builds a handle over an external deployment. Its read
+// probes take the default timeout, a quarter of timeout.
+func newDialedClient(rt clusterRuntime, width int, timeout time.Duration) *Client {
+	h := newHandle(width, timeout, 0)
 	h.rt = rt
 	return h
 }

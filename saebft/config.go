@@ -1,13 +1,14 @@
 package saebft
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 
-	"repro/internal/apps/registry"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/types"
 )
 
@@ -18,7 +19,39 @@ import (
 // file stands in for a trusted dealer: distribute it only to machines that
 // run nodes, and treat it as secret.
 type Config struct {
-	d *deploy.Config
+	d descriptor
+
+	// baseDir is the directory the config was loaded from; relative TLS
+	// paths resolve against it so a config file can travel with its certs.
+	baseDir string
+}
+
+// descriptor is the on-disk JSON form of a Config. Keys a previous version
+// wrote and this one no longer knows are ignored on load.
+type descriptor struct {
+	Seed      string `json:"seed"`
+	Mode      string `json:"mode"` // "base", "separate", "firewall"
+	App       string `json:"app"`  // a registered app name; "" means "kv"
+	F         int    `json:"f"`
+	G         int    `json:"g"`
+	H         int    `json:"h"`
+	Clients   int    `json:"clients"`
+	ReplyMode string `json:"replyMode"` // "quorum", "threshold"
+	// Crypto selects agreement-vote authentication: "ed25519" (or empty)
+	// or "mac"; see parseCrypto.
+	Crypto        string            `json:"crypto,omitempty"`
+	BatchSize     int               `json:"batchSize"`
+	ThresholdBits int               `json:"thresholdBits"`
+	Addrs         map[string]string `json:"addrs"` // NodeID (decimal) → host:port
+	TLS           *tlsSettings      `json:"tls,omitempty"`
+}
+
+// tlsSettings names the deployment's mutual-TLS material. Paths are
+// relative to the config file's directory (or absolute). CertDir holds one
+// certificate/key pair per identity, clients included (see certFiles).
+type tlsSettings struct {
+	CA      string `json:"ca"`
+	CertDir string `json:"certDir"`
 }
 
 // DeployParams parameterizes GenerateConfig. Zero values take defaults:
@@ -31,8 +64,6 @@ type DeployParams struct {
 	F, G, H       int
 	Clients       int
 	ReplyMode     ReplyMode
-	MACRequests   bool
-	MACOrders     bool
 	BatchSize     int
 	ThresholdBits int
 
@@ -64,9 +95,6 @@ func GenerateConfig(p DeployParams) (*Config, error) {
 	if p.App == "" {
 		p.App = "kv"
 	}
-	if _, ok := registry.Lookup(p.App); !ok {
-		return nil, fmt.Errorf("saebft: unknown app %q (have %v)", p.App, registry.Names())
-	}
 	if p.F == 0 {
 		p.F = 1
 	}
@@ -97,12 +125,7 @@ func GenerateConfig(p DeployParams) (*Config, error) {
 	if p.Mode == ModeFirewall {
 		p.ReplyMode = ReplyThreshold
 	}
-	switch p.Crypto {
-	case "", "ed25519", "mac":
-	default:
-		return nil, fmt.Errorf("saebft: unknown crypto mode %q (want \"ed25519\" or \"mac\")", p.Crypto)
-	}
-	d := &deploy.Config{
+	c := &Config{d: descriptor{
 		Seed:          p.Seed,
 		Mode:          p.Mode.String(),
 		App:           p.App,
@@ -111,61 +134,140 @@ func GenerateConfig(p DeployParams) (*Config, error) {
 		H:             p.H,
 		Clients:       p.Clients,
 		ReplyMode:     p.ReplyMode.String(),
-		MACRequests:   p.MACRequests,
-		MACOrders:     p.MACOrders,
 		Crypto:        p.Crypto,
 		BatchSize:     p.BatchSize,
 		ThresholdBits: p.ThresholdBits,
 		Addrs:         make(map[string]string),
-	}
-	top := core.BuildTopology(p.F, p.G, p.H, p.Clients, p.Mode.coreMode())
-	if err := top.Validate(); err != nil {
+	}}
+	top, err := c.topology()
+	if err != nil {
 		return nil, err
 	}
 	port := p.BasePort
 	for _, id := range top.AllNodes() {
-		d.Addrs[strconv.Itoa(int(id))] = fmt.Sprintf("%s:%d", p.Host, port)
+		c.d.Addrs[strconv.Itoa(int(id))] = fmt.Sprintf("%s:%d", p.Host, port)
 		port++
 	}
-	cfg := &Config{d: d}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
 	if p.TLSDir != "" {
-		if err := cfg.GenerateTLS(p.TLSDir); err != nil {
+		if err := c.GenerateTLS(p.TLSDir); err != nil {
 			return nil, err
 		}
 	}
-	return cfg, nil
+	return c, nil
 }
 
-// LoadConfig reads a deployment descriptor from disk and validates its
-// mode, reply mode, and application names.
+// LoadConfig reads a deployment descriptor from disk and validates it: its
+// mode, reply mode, crypto, and application names, its topology, and its
+// address table.
 func LoadConfig(path string) (*Config, error) {
-	d, err := deploy.Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Config{d: d}
-	if _, err := ParseMode(d.Mode); err != nil {
-		return nil, err
+	c := &Config{baseDir: filepath.Dir(path)}
+	if err := json.Unmarshal(data, &c.d); err != nil {
+		return nil, fmt.Errorf("saebft: parsing %s: %w", path, err)
 	}
-	if _, err := ParseReplyMode(d.ReplyMode); err != nil {
-		return nil, err
-	}
-	switch d.Crypto {
-	case "", "ed25519", "mac":
-	default:
-		return nil, fmt.Errorf("saebft: config names unknown crypto mode %q (want \"ed25519\" or \"mac\")", d.Crypto)
-	}
-	if _, ok := registry.Lookup(d.App); !ok {
-		return nil, fmt.Errorf("saebft: config names unknown app %q (have %v)", d.App, registry.Names())
-	}
-	if _, err := c.topology(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// validate is the one check every descriptor passes, generated or loaded:
+// its names parse, its topology is valid, every addrs key is the decimal id
+// of an identity in that topology, and every identity that runs a node —
+// and every client — has an address. Without the last rule a missing peer
+// surfaces only as frames silently dropped at run time.
+func (c *Config) validate() error {
+	if _, err := c.coreOptions(); err != nil {
+		return err
+	}
+	top, err := c.topology()
+	if err != nil {
+		return err
+	}
+	for k := range c.d.Addrs {
+		id, err := strconv.Atoi(k)
+		if err != nil {
+			return fmt.Errorf("saebft: bad node id %q in addrs", k)
+		}
+		if _, _, ok := top.RoleOf(types.NodeID(id)); !ok {
+			return fmt.Errorf("saebft: addrs names node %d, which is not part of the topology", id)
+		}
+	}
+	nodes, err := c.Nodes()
+	if err != nil {
+		return err
+	}
+	for _, n := range nodes {
+		if n.Addr == "" {
+			return fmt.Errorf("saebft: addrs has no address for %s %d", n.Role, n.ID)
+		}
+	}
+	return nil
+}
+
+// coreOptions lowers the descriptor to the composition layer's options —
+// the only place its mode, reply-mode, crypto, and app names are parsed.
+// Per-process settings (storage, observability, verify workers) are the
+// caller's to add.
+func (c *Config) coreOptions() (core.Options, error) {
+	mode, err := ParseMode(c.d.Mode)
+	if err != nil {
+		return core.Options{}, err
+	}
+	reply, err := ParseReplyMode(c.d.ReplyMode)
+	if err != nil {
+		return core.Options{}, err
+	}
+	crypto, err := parseCrypto(c.d.Crypto)
+	if err != nil {
+		return core.Options{}, err
+	}
+	app, err := appFactory(c.d.App)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("saebft: %w", err)
+	}
+	return core.Options{
+		F:             c.d.F,
+		G:             c.d.G,
+		H:             c.d.H,
+		Clients:       c.d.Clients,
+		Mode:          mode.coreMode(),
+		ReplyMode:     reply.coreMode(),
+		MACAgreement:  crypto == CryptoMAC,
+		BatchSize:     c.d.BatchSize,
+		ThresholdBits: c.d.ThresholdBits,
+		Seed:          c.d.Seed,
+		App:           app,
+	}, nil
+}
+
+// parseCrypto parses a config-file crypto name. The empty string means
+// CryptoEd25519.
+func parseCrypto(s string) (CryptoMode, error) {
+	switch s {
+	case "ed25519", "":
+		return CryptoEd25519, nil
+	case "mac":
+		return CryptoMAC, nil
+	default:
+		return 0, fmt.Errorf("saebft: unknown crypto mode %q (want \"ed25519\" or \"mac\")", s)
+	}
+}
+
 // Save writes the descriptor to disk (mode 0600 — it holds the key seed).
-func (c *Config) Save(path string) error { return c.d.Save(path) }
+func (c *Config) Save(path string) error {
+	data, err := json.MarshalIndent(&c.d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o600)
+}
 
 // Mode returns the deployment's architecture.
 func (c *Config) Mode() Mode {
@@ -279,15 +381,13 @@ func (c *Config) SetAddr(id int, addr string) error {
 	return nil
 }
 
-// addrMap converts the JSON address table to NodeID keys.
-func (c *Config) addrMap() (map[types.NodeID]string, error) {
+// addrMap converts the JSON address table to NodeID keys, which validate
+// has checked are decimal ids.
+func (c *Config) addrMap() map[types.NodeID]string {
 	out := make(map[types.NodeID]string, len(c.d.Addrs))
 	for k, v := range c.d.Addrs {
-		n, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, fmt.Errorf("saebft: bad node id %q in addrs", k)
-		}
+		n, _ := strconv.Atoi(k)
 		out[types.NodeID(n)] = v
 	}
-	return out, nil
+	return out
 }

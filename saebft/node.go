@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -20,23 +19,19 @@ import (
 // the rest of the deployment described by its Config. The saebft-node
 // command is a thin wrapper around it.
 type Node struct {
-	cfg           *Config
-	id            types.NodeID
-	role          types.Role
-	logf          func(string, ...interface{})
-	dataDir       string
-	volatileVotes bool
-	tlsCA         string
-	tlsCert       string
-	tlsKey        string
-	noTLS         bool
-	metricsAddr   string
-	verifyWorkers int
-	obsReg        *obs.Registry
-	obsTrace      *obs.Tracer
+	cfg         *Config
+	id          types.NodeID
+	role        types.Role
+	logf        func(string, ...interface{})
+	tls         linkTLS
+	metricsAddr string
+	// opts is the config's lowering plus this process's own settings
+	// (storage, verify workers, observability), which the Node* options
+	// write straight into it.
+	opts core.Options
 
 	mu        sync.Mutex
-	running   *deploy.RunningNode
+	running   *runningNode
 	ops       *obs.OpsServer
 	watchStop chan struct{}
 	closed    bool
@@ -52,7 +47,7 @@ type NodeOption func(*Node)
 // acknowledged operation. The path is per-process state and deliberately
 // not part of the shared config file.
 func NodeDataDir(path string) NodeOption {
-	return func(n *Node) { n.dataDir = path }
+	return func(n *Node) { n.opts.DataDir = path }
 }
 
 // NodeVolatileVotes disables agreement-side voting-state durability for a
@@ -61,7 +56,7 @@ func NodeDataDir(path string) NodeOption {
 // against f while it recovers under a Byzantine primary. No effect without
 // NodeDataDir.
 func NodeVolatileVotes() NodeOption {
-	return func(n *Node) { n.volatileVotes = true }
+	return func(n *Node) { n.opts.VolatileVotes = true }
 }
 
 // NodeTLS overrides where this node reads its mutual-TLS material from:
@@ -70,13 +65,13 @@ func NodeVolatileVotes() NodeOption {
 // -tls / Config.GenerateTLS) is used automatically; with it, TLS is enabled
 // even if the config has no TLS section.
 func NodeTLS(caFile, certFile, keyFile string) NodeOption {
-	return func(n *Node) { n.tlsCA, n.tlsCert, n.tlsKey = caFile, certFile, keyFile }
+	return func(n *Node) { n.tls.ca, n.tls.cert, n.tls.key = caFile, certFile, keyFile }
 }
 
 // NodeInsecure forces plaintext links even when the config prescribes TLS.
 // Loopback debugging only: a plaintext node cannot talk to TLS peers.
 func NodeInsecure() NodeOption {
-	return func(n *Node) { n.noTLS = true }
+	return func(n *Node) { n.tls.insecure = true }
 }
 
 // NodeVerifyWorkers sizes this process's bounded certificate-verification
@@ -86,7 +81,7 @@ func NodeInsecure() NodeOption {
 // advances. Per-process tuning, not protocol surface — peers need not
 // agree. 0 or 1 verifies inline.
 func NodeVerifyWorkers(n int) NodeOption {
-	return func(nd *Node) { nd.verifyWorkers = n }
+	return func(nd *Node) { nd.opts.VerifyWorkers = n }
 }
 
 // NodeMetricsAddr serves the node's ops HTTP endpoint on addr once Start
@@ -108,7 +103,7 @@ func (n *Node) LinkStats() LinkStats {
 	n.mu.Unlock()
 	var s LinkStats
 	if rn != nil {
-		s.add(rn.Net.Stats())
+		s.add(rn.net.Stats())
 	}
 	return s
 }
@@ -119,7 +114,7 @@ func (n *Node) Secure() bool {
 	n.mu.Lock()
 	rn := n.running
 	n.mu.Unlock()
-	return rn != nil && rn.Net.Secure()
+	return rn != nil && rn.net.Secure()
 }
 
 // NewNode validates that id names a non-client identity in the config's
@@ -136,11 +131,13 @@ func NewNode(cfg *Config, id int, opts ...NodeOption) (*Node, error) {
 	if role == types.RoleClient {
 		return nil, fmt.Errorf("saebft: identity %d is a client; use Dial", id)
 	}
-	n := &Node{
-		cfg: cfg, id: types.NodeID(id), role: role,
-		obsReg:   obs.NewRegistry(),
-		obsTrace: obs.NewTracer(obs.DefaultTraceCap),
+	copts, err := cfg.coreOptions()
+	if err != nil {
+		return nil, err
 	}
+	copts.Obs = obs.NewRegistry()
+	copts.Trace = obs.NewTracer(obs.DefaultTraceCap)
+	n := &Node{cfg: cfg, id: types.NodeID(id), role: role, opts: copts}
 	for _, fn := range opts {
 		fn(n)
 	}
@@ -169,29 +166,27 @@ func (n *Node) Start(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	rn, err := deploy.StartNodeOpts(n.cfg.d, n.id, deploy.NodeOptions{
-		DataDir:       n.dataDir,
-		VolatileVotes: n.volatileVotes,
-		VerifyWorkers: n.verifyWorkers,
-		TLSCA:         n.tlsCA,
-		TLSCert:       n.tlsCert,
-		TLSKey:        n.tlsKey,
-		DisableTLS:    n.noTLS,
-		Obs:           n.obsReg,
-		Trace:         n.obsTrace,
-	})
+	b, err := core.NewBuilder(n.opts)
+	if err != nil {
+		return err
+	}
+	sec, err := n.tls.security(n.cfg, n.id)
+	if err != nil {
+		return err
+	}
+	rn, err := startNode(b, n.cfg.addrMap(), n.id, transport.TCPOptions{Security: sec})
 	if err != nil {
 		return err
 	}
 	if n.metricsAddr != "" {
-		srv, err := obs.ServeOps(n.metricsAddr, n.obsReg, n.obsTrace)
+		srv, err := obs.ServeOps(n.metricsAddr, n.opts.Obs, n.opts.Trace)
 		if err != nil {
-			rn.Close()
+			rn.close()
 			return fmt.Errorf("saebft: ops endpoint: %w", err)
 		}
 		n.ops = srv
 	}
-	rn.Net.SetLogf(logfOrSilent(n.logf))
+	rn.net.SetLogf(logfOrSilent(n.logf))
 	n.running = rn
 	if ctx.Done() != nil {
 		stop := make(chan struct{})
@@ -225,7 +220,7 @@ func (n *Node) Close() error {
 	}
 	ops.Close() // nil-safe; stops serving before the node goes away
 	if rn != nil {
-		rn.Close()
+		rn.close()
 	}
 	return nil
 }
@@ -243,7 +238,7 @@ func (n *Node) Addr() string {
 	if n.running == nil {
 		return ""
 	}
-	return n.running.Net.Addr()
+	return n.running.net.Addr()
 }
 
 // StorageErr reports the node's first durable-storage failure, if any. A
@@ -258,7 +253,7 @@ func (n *Node) StorageErr() error {
 		return nil
 	}
 	var err error
-	rn.Inspect(func(node transport.Node) {
+	rn.inspect(func(node transport.Node) {
 		if se, ok := node.(interface{ StorageErr() error }); ok {
 			err = se.StorageErr()
 		}
@@ -270,15 +265,10 @@ func (n *Node) StorageErr() error {
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	ids         []int
-	timeout     time.Duration
-	readTimeout time.Duration
-	logf        func(string, ...interface{})
-	batch       clientBatching
-	tlsCA       string
-	tlsCert     string
-	tlsKey      string
-	noTLS       bool
+	ids     []int
+	timeout time.Duration
+	batch   clientBatching
+	tls     linkTLS
 }
 
 // DialClients restricts the handle to specific client identities from the
@@ -292,18 +282,6 @@ func DialTimeout(t time.Duration) DialOption {
 	return func(d *dialConfig) { d.timeout = t }
 }
 
-// DialReadTimeout bounds each certified-read probe made by ReadCertified
-// before it falls back to full agreement, mirroring WithReadTimeout (zero
-// defaults to a quarter of the request timeout).
-func DialReadTimeout(t time.Duration) DialOption {
-	return func(d *dialConfig) { d.readTimeout = t }
-}
-
-// DialLogf installs a transport-level log function (default: silent).
-func DialLogf(f func(string, ...interface{})) DialOption {
-	return func(d *dialConfig) { d.logf = f }
-}
-
 // DialBatching enables client-side operation batching on the dialed
 // handle, with the same semantics and defaults as WithClientBatching.
 func DialBatching(maxOps, maxBytes int, flushInterval time.Duration) DialOption {
@@ -315,16 +293,6 @@ func DialBatching(maxOps, maxBytes int, flushInterval time.Duration) DialOption 
 	}
 }
 
-// DialAdaptivePipeline toggles the latency-driven dispatch-width
-// controller on a batching dialed handle (default on), mirroring
-// WithAdaptivePipeline.
-func DialAdaptivePipeline(on bool) DialOption {
-	return func(d *dialConfig) {
-		d.batch.adaptive = on
-		d.batch.adaptSet = true
-	}
-}
-
 // DialTLS overrides where the handle reads its mutual-TLS material from:
 // the cluster CA certificate plus one client identity's certificate and
 // key, all PEM. Valid only together with DialClients naming that single
@@ -332,13 +300,13 @@ func DialAdaptivePipeline(on bool) DialOption {
 // config's certDir automatically, which is the default whenever the config
 // carries a TLS section.
 func DialTLS(caFile, certFile, keyFile string) DialOption {
-	return func(d *dialConfig) { d.tlsCA, d.tlsCert, d.tlsKey = caFile, certFile, keyFile }
+	return func(d *dialConfig) { d.tls.ca, d.tls.cert, d.tls.key = caFile, certFile, keyFile }
 }
 
 // DialInsecure forces plaintext links even when the config prescribes TLS.
 // Loopback debugging only: a plaintext client cannot talk to TLS nodes.
 func DialInsecure() DialOption {
-	return func(d *dialConfig) { d.noTLS = true }
+	return func(d *dialConfig) { d.tls.insecure = true }
 }
 
 // Dial connects a client handle to a running multi-process deployment
@@ -364,7 +332,7 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 	if dc.timeout == 0 {
 		dc.timeout = 30 * time.Second
 	}
-	opts, err := cfg.d.Options()
+	opts, err := cfg.coreOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -372,28 +340,15 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrs, err := cfg.addrMap()
-	if err != nil {
-		return nil, err
-	}
+	addrs := cfg.addrMap()
 	ids := dc.ids
 	if len(ids) == 0 {
 		for _, cid := range b.Top.Clients {
 			ids = append(ids, int(cid))
 		}
 	}
-	if dc.tlsCert != "" && len(ids) != 1 {
+	if dc.tls.cert != "" && len(ids) != 1 {
 		return nil, fmt.Errorf("saebft: DialTLS names one identity's certificate; use DialClients to pick that identity (handle owns %d)", len(ids))
-	}
-	security := func(id types.NodeID) (*transport.Security, error) {
-		switch {
-		case dc.noTLS:
-			return nil, nil
-		case dc.tlsCert != "":
-			return transport.LoadSecurity(id, dc.tlsCA, dc.tlsCert, dc.tlsKey)
-		default:
-			return cfg.d.Security(id)
-		}
 	}
 	// The handle gets its own registry: client-side pipeline/read counters
 	// plus each endpoint's link series, mirroring what a cluster-owned
@@ -407,12 +362,12 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 			rt.close()
 			return nil, fmt.Errorf("saebft: %d is not a client identity in this topology", id)
 		}
-		sec, err := security(types.NodeID(id))
+		sec, err := dc.tls.security(cfg, types.NodeID(id))
 		if err != nil {
 			rt.close()
-			return nil, fmt.Errorf("saebft: TLS material for client %d: %w", id, err)
+			return nil, err
 		}
-		ep, err := newTCPEndpoint(b, addrs, types.NodeID(id), dc.logf, transport.TCPOptions{
+		ep, err := newTCPEndpoint(b, addrs, types.NodeID(id), nil, transport.TCPOptions{
 			Security: sec, Obs: reg, ObsNode: strconv.Itoa(id),
 		})
 		if err != nil {
@@ -421,7 +376,7 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 		}
 		rt.eps = append(rt.eps, ep)
 	}
-	h := newDialedClient(rt, len(rt.eps), dc.timeout, dc.readTimeout)
+	h := newDialedClient(rt, len(rt.eps), dc.timeout)
 	h.reg = reg
 	h.registerClientObs(reg)
 	if dc.batch.enabled {

@@ -153,19 +153,19 @@ func (c *Cluster) OpsAddr() string {
 // protocol (agreement or execution, by role), durable storage, and
 // transport links. Empty before Start.
 func (n *Node) Metrics() []Metric {
-	return lowerSamples(n.obsReg.Snapshot())
+	return lowerSamples(n.opts.Obs.Snapshot())
 }
 
 // WriteMetrics writes the node's registry in Prometheus text exposition
 // format (version 0.0.4) — the same bytes NodeMetricsAddr serves on
 // /metrics.
 func (n *Node) WriteMetrics(w io.Writer) error {
-	return n.obsReg.WritePrometheus(w)
+	return n.opts.Obs.WritePrometheus(w)
 }
 
 // Trace dumps the node's per-operation trace ring, oldest span first.
 func (n *Node) Trace() []TraceSpan {
-	return lowerSpans(n.obsTrace.Dump())
+	return lowerSpans(n.opts.Trace.Dump())
 }
 
 // OpsAddr returns the bound address of the node's ops HTTP endpoint

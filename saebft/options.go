@@ -24,8 +24,6 @@ type options struct {
 	batchWait     time.Duration
 	pipeline      int
 	clientBatch   clientBatching
-	macRequests   bool
-	macOrders     bool
 	crypto        CryptoConfig
 	directReply   bool
 	thresholdBits int
@@ -132,12 +130,6 @@ func WithAdaptivePipeline(on bool) Option {
 // WithPipeline bounds how many agreement certificates each message queue
 // keeps in flight toward the execution cluster. Zero keeps the default.
 func WithPipeline(n int) Option { return func(o *options) { o.pipeline = n } }
-
-// WithMACs switches request and/or order authentication from signatures to
-// MAC vectors (the paper's fast path).
-func WithMACs(requests, orders bool) Option {
-	return func(o *options) { o.macRequests = requests; o.macOrders = orders }
-}
 
 // CryptoMode selects how agreement-cluster votes are authenticated.
 type CryptoMode int
@@ -319,8 +311,6 @@ func (o *options) coreOptions() (core.Options, error) {
 		H:                  o.h,
 		Clients:            o.clients,
 		Mode:               o.mode.coreMode(),
-		MACRequests:        o.macRequests,
-		MACOrders:          o.macOrders,
 		MACAgreement:       o.crypto.Mode == CryptoMAC,
 		VerifyWorkers:      o.crypto.VerifyWorkers,
 		DirectReply:        o.directReply,

@@ -257,7 +257,7 @@ func (r *scriptedRuntime) close() error          { return nil }
 func (r *scriptedRuntime) kill()                 {}
 
 func scriptedClient(rt clusterRuntime) *Client {
-	return newDialedClient(rt, 1, time.Second, 0)
+	return newDialedClient(rt, 1, time.Second)
 }
 
 func TestSessionRetriesMismatchAtHint(t *testing.T) {

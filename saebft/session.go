@@ -142,11 +142,10 @@ func (s *Session) fallback(ctx context.Context, rt clusterRuntime, idx int, op [
 }
 
 // readAttemptTimeout bounds one fast-path probe: the configured read
-// timeout (WithReadTimeout / DialReadTimeout), defaulting to a fraction of
-// the invoke timeout — a probe is one round trip to the execution replicas,
-// so waiting the full agreement timeout before falling back would forfeit
-// the fast path's latency advantage — and never beyond the context
-// deadline.
+// timeout (WithReadTimeout), defaulting to a fraction of the invoke
+// timeout — a probe is one round trip to the execution replicas, so
+// waiting the full agreement timeout before falling back would forfeit the
+// fast path's latency advantage — and never beyond the context deadline.
 func (h *Client) readAttemptTimeout(ctx context.Context) time.Duration {
 	t := h.readTimeout
 	if t == 0 {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/execnode"
 	"repro/internal/firewall"
 	"repro/internal/transport"
@@ -59,12 +58,12 @@ func (t *tcpTransport) start(b *core.Builder, o *options) (clusterRuntime, error
 			r.close()
 			return nil, err
 		}
-		n, err := deploy.StartBuilderNodeOpts(b, addrs, id, to)
+		n, err := startNode(b, addrs, id, to)
 		if err != nil {
 			r.close()
 			return nil, fmt.Errorf("saebft: starting node %v: %w", id, err)
 		}
-		n.Net.SetLogf(logfOrSilent(t.cfg.Logf))
+		n.net.SetLogf(logfOrSilent(t.cfg.Logf))
 		r.nodes = append(r.nodes, n)
 	}
 	for _, cid := range b.Top.Clients {
@@ -130,6 +129,98 @@ func logfOrSilent(logf func(string, ...interface{})) func(string, ...interface{}
 		return logf
 	}
 	return func(string, ...interface{}) {}
+}
+
+// runningNode is one live TCP-backed replica: agreement, execution, or
+// filter.
+type runningNode struct {
+	net     *transport.TCPNet
+	node    transport.Node
+	runtime *transport.Runtime
+}
+
+// startNode runs replica id of an already-prepared builder over TCP with
+// the given link options (mutual TLS, timeouts, queue bounds). It returns
+// once the node is listening; the node runs until close. Both the
+// in-process TCP cluster and Node.Start launch replicas through it.
+func startNode(b *core.Builder, addrs map[types.NodeID]string, id types.NodeID, topts transport.TCPOptions) (*runningNode, error) {
+	role, _, ok := b.Top.RoleOf(id)
+	if !ok {
+		return nil, fmt.Errorf("saebft: node %v is not part of the topology", id)
+	}
+
+	// Link metrics land in the same registry as the protocol layers unless
+	// the caller wired the transport explicitly.
+	if topts.Obs == nil {
+		topts.Obs = b.Opts.Obs
+	}
+	if topts.Obs != nil && topts.ObsNode == "" {
+		topts.ObsNode = strconv.Itoa(int(id))
+	}
+
+	// The TCP handler is installed after construction; an atomic
+	// indirection breaks the circular dependency between node and net.
+	// Messages arriving before installation are dropped, which the
+	// protocols tolerate (peers retransmit).
+	var runtimeHandler atomic.Pointer[func(from types.NodeID, data []byte)]
+	tcp, err := transport.NewTCPNetOpts(id, addrs, func(from types.NodeID, data []byte) {
+		if h := runtimeHandler.Load(); h != nil {
+			(*h)(from, data)
+		}
+	}, topts)
+	if err != nil {
+		return nil, err
+	}
+
+	var node transport.Node
+	switch role {
+	case types.RoleAgreement:
+		node, _, _, err = b.AgreementNode(id, tcp.Send)
+	case types.RoleExecution:
+		node, _, err = b.ExecNode(id, tcp.Send)
+	case types.RoleFilter:
+		node, err = b.FilterNode(id, tcp.Send)
+	default:
+		err = fmt.Errorf("saebft: identity %v is a client; use Dial", id)
+	}
+	if err != nil {
+		tcp.Close()
+		return nil, err
+	}
+	rt, handler := transport.NewRuntime(node, tcp.Now, time.Millisecond)
+	runtimeHandler.Store(&handler)
+	return &runningNode{net: tcp, node: node, runtime: rt}, nil
+}
+
+// inspect runs fn on the node's runtime goroutine with the protocol node,
+// serialized against message delivery.
+func (n *runningNode) inspect(fn func(node transport.Node)) {
+	n.runtime.Do(func(types.Time) { fn(n.node) })
+}
+
+// close shuts the node down gracefully: the durable store (if any) is
+// flushed and closed on the runtime goroutine — serialized against message
+// delivery, so no record is torn mid-write — before the transports stop.
+func (n *runningNode) close() {
+	n.runtime.Do(func(types.Time) {
+		if s, ok := n.node.(interface{ Shutdown() }); ok {
+			s.Shutdown()
+		}
+	})
+	n.runtime.Close()
+	n.net.Close()
+}
+
+// kill tears the node down without flushing its store, simulating a crash
+// (kill -9): buffered WAL appends are discarded and the data-dir lock
+// released, as process death would. Recovery tests use it; everything else
+// should close.
+func (n *runningNode) kill() {
+	n.runtime.Close()
+	if cs, ok := n.node.(interface{ CrashStop() }); ok {
+		cs.CrashStop()
+	}
+	n.net.Close()
 }
 
 // tcpEndpoint is one logical client over TCP: a protocol-core client driven
@@ -203,7 +294,7 @@ func (ep *tcpEndpoint) close() {
 // also owns server nodes (in-process TCP cluster) it tears them down on
 // close; for dialed handles against an external deployment, nodes is nil.
 type tcpRuntime struct {
-	nodes []*deploy.RunningNode
+	nodes []*runningNode
 	eps   []*tcpEndpoint
 	quit  chan struct{}
 	once  sync.Once
@@ -310,7 +401,7 @@ func (r *tcpRuntime) stats() (Stats, error) {
 			return Stats{}, ErrClosed
 		default:
 		}
-		n.Inspect(func(node transport.Node) {
+		n.inspect(func(node transport.Node) {
 			if f, ok := node.(*firewall.Filter); ok {
 				s.SharesRejected += f.Metrics.SharesRejected
 			}
@@ -335,7 +426,7 @@ func (r *tcpRuntime) stats() (Stats, error) {
 func (r *tcpRuntime) linkSnapshot() LinkStats {
 	var link LinkStats
 	for _, n := range r.nodes {
-		link.add(n.Net.Stats())
+		link.add(n.net.Stats())
 	}
 	for _, ep := range r.eps {
 		link.add(ep.net.Stats())
@@ -350,7 +441,7 @@ func (r *tcpRuntime) close() error {
 			ep.close()
 		}
 		for _, n := range r.nodes {
-			n.Close() // graceful: flushes each node's durable store
+			n.close() // graceful: flushes each node's durable store
 		}
 	})
 	return nil
@@ -365,7 +456,7 @@ func (r *tcpRuntime) kill() {
 			ep.close()
 		}
 		for _, n := range r.nodes {
-			n.Kill()
+			n.kill()
 		}
 	})
 }

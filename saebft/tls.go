@@ -2,6 +2,7 @@ package saebft
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"repro/internal/transport"
@@ -54,11 +55,17 @@ func (c TLSConfig) provider() (securityProvider, error) {
 	}
 	dir := c.Dir
 	return func(id types.NodeID) (*transport.Security, error) {
-		return transport.LoadSecurity(id,
-			filepath.Join(dir, "ca.pem"),
-			filepath.Join(dir, fmt.Sprintf("node-%d.pem", id)),
-			filepath.Join(dir, fmt.Sprintf("node-%d-key.pem", id)))
+		cert, key := certFiles(dir, id)
+		return transport.LoadSecurity(id, filepath.Join(dir, "ca.pem"), cert, key)
 	}, nil
+}
+
+// certFiles names identity id's certificate and private key under dir: the
+// one layout GenerateTLS writes and both TLSConfig.Dir and a config's
+// certDir are read with.
+func certFiles(dir string, id types.NodeID) (cert, key string) {
+	return filepath.Join(dir, fmt.Sprintf("node-%d.pem", id)),
+		filepath.Join(dir, fmt.Sprintf("node-%d-key.pem", id))
 }
 
 // WithTLS runs every TCP link of the cluster over mutual TLS with
@@ -110,11 +117,7 @@ func (s *LinkStats) add(t transport.LinkStats) {
 // placement. The CA key is written as ca-key.pem for minting future
 // certificates; no node ever needs it.
 func (c *Config) GenerateTLS(dir string) error {
-	top, err := c.topology()
-	if err != nil {
-		return err
-	}
-	return c.d.GenerateTLS(top.AllNodes(), dir, dir)
+	return c.generateTLS(dir, dir)
 }
 
 // GenerateTLSFor is GenerateTLS for a config that will be saved at
@@ -123,15 +126,52 @@ func (c *Config) GenerateTLS(dir string) error {
 // saebft-keygen uses it so `-out deploy/cluster.json -tls` puts the certs
 // under deploy/certs no matter where keygen runs.
 func (c *Config) GenerateTLSFor(configPath, dir string) error {
-	top, err := c.topology()
-	if err != nil {
-		return err
-	}
 	writeDir := dir
 	if !filepath.IsAbs(dir) {
 		writeDir = filepath.Join(filepath.Dir(configPath), dir)
 	}
-	return c.d.GenerateTLS(top.AllNodes(), writeDir, dir)
+	return c.generateTLS(writeDir, dir)
+}
+
+// generateTLS is GenerateTLS writing the PEM files under writeDir (created
+// if needed) while recording recordDir's paths in the config.
+func (c *Config) generateTLS(writeDir, recordDir string) error {
+	top, err := c.topology()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(writeDir, 0o700); err != nil {
+		return err
+	}
+	ca, err := transport.NewCA("saebft cluster CA (" + c.d.Seed + ")")
+	if err != nil {
+		return err
+	}
+	caKey, err := ca.KeyPEM()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(writeDir, "ca.pem"), ca.CertPEM(), 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(writeDir, "ca-key.pem"), caKey, 0o600); err != nil {
+		return err
+	}
+	for _, id := range top.AllNodes() {
+		certPEM, keyPEM, err := ca.IssuePEM(id)
+		if err != nil {
+			return err
+		}
+		cert, key := certFiles(writeDir, id)
+		if err := os.WriteFile(cert, certPEM, 0o644); err != nil {
+			return err
+		}
+		if err := os.WriteFile(key, keyPEM, 0o600); err != nil {
+			return err
+		}
+	}
+	c.d.TLS = &tlsSettings{CA: filepath.Join(recordDir, "ca.pem"), CertDir: recordDir}
+	return nil
 }
 
 // TLSEnabled reports whether the config prescribes mutual-TLS links.
@@ -142,7 +182,51 @@ func (c *Config) TLSEnabled() bool { return c.d.TLS != nil }
 // location; ok is false when the deployment is plaintext. Command-line
 // tools use it to default their -ca/-cert/-key flags.
 func (c *Config) TLSPaths(id int) (ca, cert, key string, ok bool) {
-	return c.d.TLSPaths(types.NodeID(id))
+	if c.d.TLS == nil {
+		return "", "", "", false
+	}
+	cert, key = certFiles(c.resolvePath(c.d.TLS.CertDir), types.NodeID(id))
+	return c.resolvePath(c.d.TLS.CA), cert, key, true
+}
+
+// resolvePath resolves a config-relative path against the directory the
+// config was loaded from. Absolute paths and configs never loaded from disk
+// pass through unchanged.
+func (c *Config) resolvePath(p string) string {
+	if p == "" || filepath.IsAbs(p) || c.baseDir == "" {
+		return p
+	}
+	return filepath.Join(c.baseDir, p)
+}
+
+// linkTLS is the per-process TLS choice a Node (NodeTLS, NodeInsecure) or a
+// dialed handle (DialTLS, DialInsecure) carries beside the shared config.
+type linkTLS struct {
+	ca, cert, key string
+	insecure      bool
+}
+
+// security resolves identity id's link material: plaintext when insecure;
+// else the override files, which must name CA, cert and key together; else
+// the config's tls section; else plaintext.
+func (l linkTLS) security(cfg *Config, id types.NodeID) (*transport.Security, error) {
+	if l.insecure {
+		return nil, nil
+	}
+	ca, cert, key := l.ca, l.cert, l.key
+	if ca == "" && cert == "" && key == "" {
+		var ok bool
+		if ca, cert, key, ok = cfg.TLSPaths(int(id)); !ok {
+			return nil, nil
+		}
+	} else if ca == "" || cert == "" || key == "" {
+		return nil, fmt.Errorf("saebft: TLS override for node %v needs all of CA, cert, and key", id)
+	}
+	sec, err := transport.LoadSecurity(id, ca, cert, key)
+	if err != nil {
+		return nil, fmt.Errorf("saebft: TLS material for node %v: %w", id, err)
+	}
+	return sec, nil
 }
 
 // TLSFlags carries the conventional -tls/-ca/-cert/-key command-line flag

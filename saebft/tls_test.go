@@ -75,6 +75,52 @@ func TestTLSRequiresTCPTransport(t *testing.T) {
 	}
 }
 
+// TestTLSFlagsResolve pins the -tls/-ca/-cert/-key semantics saebft-node
+// and saebft-client share.
+func TestTLSFlagsResolve(t *testing.T) {
+	secure, err := GenerateConfig(DeployParams{TLSDir: filepath.Join(t.TempDir(), "certs")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := GenerateConfig(DeployParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cert, key, ok := secure.TLSPaths(1000)
+	if !ok || ca == "" || cert == "" || key == "" {
+		t.Fatalf("TLS config has no paths for client 1000: %q %q %q", ca, cert, key)
+	}
+	for _, tc := range []struct {
+		name              string
+		cfg               *Config
+		flags             TLSFlags
+		ca, cert, key     string
+		insecure, wantErr bool
+	}{
+		{name: "-tls=false forces plaintext", cfg: secure, flags: TLSFlags{TLSSet: true}, insecure: true},
+		{name: "-tls=false beats explicit files", cfg: plain, flags: TLSFlags{TLSSet: true, CA: "a", Cert: "c", Key: "k"}, insecure: true},
+		{name: "explicit files override the config", cfg: secure, flags: TLSFlags{CA: "a", Cert: "c", Key: "k"}, ca: "a", cert: "c", key: "k"},
+		{name: "unset files fill in from the config", cfg: secure, flags: TLSFlags{Cert: "c"}, ca: ca, cert: "c", key: key},
+		{name: "all files enable TLS without a tls section", cfg: plain, flags: TLSFlags{CA: "a", Cert: "c", Key: "k"}, ca: "a", cert: "c", key: "k"},
+		{name: "partial files without a tls section", cfg: plain, flags: TLSFlags{Cert: "c"}, wantErr: true},
+		{name: "bare -tls without material", cfg: plain, flags: TLSFlags{TLS: true, TLSSet: true}, wantErr: true},
+		{name: "bare -tls follows the config's tls section", cfg: secure, flags: TLSFlags{TLS: true, TLSSet: true}},
+		{name: "absent flags follow a TLS config", cfg: secure},
+		{name: "absent flags follow a plaintext config", cfg: plain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gca, gcert, gkey, insecure, err := tc.flags.Resolve(tc.cfg, 1000)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if gca != tc.ca || gcert != tc.cert || gkey != tc.key || insecure != tc.insecure {
+				t.Errorf("Resolve = %q %q %q insecure=%v, want %q %q %q insecure=%v",
+					gca, gcert, gkey, insecure, tc.ca, tc.cert, tc.key, tc.insecure)
+			}
+		})
+	}
+}
+
 // freePortConfig rewrites every address in cfg to a kernel-assigned free
 // loopback port so parallel test runs cannot collide.
 func freePortConfig(t *testing.T, cfg *Config) {

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/auth"
 	"repro/internal/execnode"
 	"repro/internal/firewall"
 	"repro/internal/mqueue"
+	"repro/internal/obs"
 	"repro/internal/pbft"
 	"repro/internal/replycert"
 	"repro/internal/seal"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/threshold"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Builder constructs individual nodes of a deployment. BuildSim uses it to
@@ -175,7 +178,7 @@ func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transpo
 		Verifier:  b.verifier(id),
 		Dests:     dests,
 		Pipeline:  b.Opts.Pipeline,
-	}, send)
+	}, b.countProofRequests(id, send))
 	if err != nil {
 		closeStore()
 		return nil, nil, nil, err
@@ -292,7 +295,29 @@ func (b *Builder) FilterNode(id types.NodeID, send transport.Sender) (*firewall.
 		TopRow:         row == h,
 		Pipeline:       b.Opts.Pipeline,
 		OrderedRelease: b.Opts.OrderedRelease,
-	}, send)
+	}, b.countProofRequests(id, send))
+}
+
+// countProofRequests wraps a combiner's sender (message queue or filter) so
+// the share-proof requests it sends executors are counted in the registry.
+// Quorum replies have no proofs to request, and without a registry there is
+// nothing to count: then it returns send unchanged.
+func (b *Builder) countProofRequests(id types.NodeID, send transport.Sender) transport.Sender {
+	if b.Opts.ReplyMode != replycert.ModeThreshold {
+		return send
+	}
+	sent := b.Opts.Obs.Counter("saebft_share_proof_requests_total",
+		"threshold share proof requests sent to executors after a failed combination",
+		obs.L("node", strconv.Itoa(int(id))))
+	if sent == nil {
+		return send
+	}
+	return func(to types.NodeID, data []byte) {
+		if len(data) > 0 && wire.MsgType(data[0]) == wire.TProofRequest {
+			sent.Inc()
+		}
+		send(to, data)
+	}
 }
 
 // ClientNode builds one client.

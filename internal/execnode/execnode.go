@@ -20,6 +20,7 @@ package execnode
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/auth"
@@ -150,9 +151,17 @@ type replyState struct {
 
 // sentShare is a reply bundle share as it was sent: its sequence number and
 // encoding, kept so retransmissions resend the bytes instead of re-encoding.
+// In threshold mode it also keeps the bundle, its digest and the bare share,
+// so a combiner's proof request can be answered, and the proven encoding
+// once computed, so the bundle is proven at most once.
 type sentShare struct {
 	seq  types.SeqNum
 	data []byte
+
+	entries []wire.Reply
+	digest  types.Digest
+	share   *threshold.SigShare
+	proven  []byte
 }
 
 // Replica is one execution-cluster member.
@@ -204,6 +213,7 @@ type Metrics struct {
 	Fetches       uint64
 	ReadsServed   uint64 // certified-read probes answered from applied state
 	ReadsRefused  uint64 // probes answered with a signed refusal
+	ShareProofs   uint64 // threshold share proofs computed for combiners that asked
 }
 
 // New constructs an execution replica hosting the given state machine.
@@ -280,6 +290,8 @@ func (r *Replica) Receive(from types.NodeID, msg wire.Message, now types.Time) {
 		r.onCheckpointData(m, now)
 	case *wire.ReadRequest:
 		r.onReadRequest(m, now)
+	case *wire.ProofRequest:
+		r.onProofRequest(from, m)
 	}
 }
 
@@ -510,15 +522,15 @@ func (r *Replica) executeOps(body []byte, nd types.NonDet) []byte {
 	return wire.PackOpReplies(bodies)
 }
 
-// emitBundle signs (or attests) the reply bundle and sends the share.
+// emitBundle signs (or attests) the reply bundle and sends the share. A
+// threshold share goes out bare; its proof is computed only if a combiner
+// asks for it (onProofRequest).
 func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 	digest := wire.BundleDigest(entries)
 	out := &wire.ExecReply{Entries: entries, Executor: r.cfg.ID}
+	var sh *threshold.SigShare
 	if r.cfg.ReplyMode == replycert.ModeThreshold {
-		sh, err := r.cfg.ThresholdShare.Sign(r.cfg.ShareRand, digest)
-		if err != nil {
-			return
-		}
+		sh = r.cfg.ThresholdShare.Share(digest)
 		out.Share = sh.Marshal()
 	} else {
 		dests := append([]types.NodeID(nil), r.top.Agreement...)
@@ -532,6 +544,9 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 		out.Att = att
 	}
 	sent := &sentShare{seq: entries[0].Seq, data: wire.Marshal(out)}
+	if sh != nil {
+		sent.entries, sent.digest, sent.share = entries, digest, sh
+	}
 	for i := range entries {
 		r.lastOut[entries[i].Client] = sent
 	}
@@ -574,6 +589,29 @@ func (r *Replica) resendCached(m *wire.Order) {
 			r.send(m.Requests[i].Client, out.data)
 		}
 	}
+}
+
+// onProofRequest answers a combiner whose held shares failed to combine with
+// the proven encoding of this replica's share of the named bundle, sent to
+// that combiner alone. The proof is computed once per bundle and cached, so
+// however often and by whomever it is asked, a bundle costs at most one
+// proof. Requests from nodes that are not reply destinations, and for
+// bundles that are unknown or no longer the named client's last, are
+// ignored.
+func (r *Replica) onProofRequest(from types.NodeID, m *wire.ProofRequest) {
+	out := r.lastOut[m.Client]
+	if out == nil || out.share == nil || out.digest != m.Bundle || !slices.Contains(r.cfg.ReplyDests, from) {
+		return
+	}
+	if out.proven == nil {
+		if err := r.cfg.ThresholdShare.Prove(r.cfg.ShareRand, out.digest, out.share); err != nil {
+			return
+		}
+		out.proven = wire.Marshal(&wire.ExecReply{Entries: out.entries, Executor: r.cfg.ID, Share: out.share.Marshal()})
+		r.Metrics.ShareProofs++
+		r.om.shareProofs.Inc()
+	}
+	r.send(from, out.proven)
 }
 
 // --- checkpoints -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 package execnode
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
@@ -393,7 +394,10 @@ func TestStateTransferViaCheckpoint(t *testing.T) {
 	}
 }
 
-func TestThresholdShareEmission(t *testing.T) {
+// thresholdWorld is a world whose replica signs replies with threshold
+// share 1 of a dealt key, returned with the verifier for its shares.
+func thresholdWorld(t *testing.T) (*world, *replycert.Verifier) {
+	t.Helper()
 	pub, shares, err := threshold.Deal(threshold.NewSeededReader("exec-test"), 512, 2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -403,14 +407,104 @@ func TestThresholdShareEmission(t *testing.T) {
 		c.ThresholdShare = shares[0]
 		c.ShareRand = threshold.NewSeededReader("exec-share")
 	})
+	return w, replycert.NewVerifier(replycert.ModeThreshold, top, nil, pub)
+}
+
+func TestThresholdShareEmission(t *testing.T) {
+	w, v := thresholdWorld(t)
 	w.commit(1, []wire.Request{w.req("inc")})
 	replies := w.cap.repliesTo(0)
 	if len(replies) != 1 {
 		t.Fatalf("replies = %d", len(replies))
 	}
-	v := replycert.NewVerifier(replycert.ModeThreshold, top, nil, pub)
-	if err := v.VerifyShare(replies[0]); err != nil {
-		t.Fatalf("emitted threshold share invalid: %v", err)
+	// The share goes out bare: it combines, but carries no proof.
+	sh, err := threshold.UnmarshalSigShare(replies[0].Share)
+	if err != nil {
+		t.Fatalf("emitted share does not decode: %v", err)
+	}
+	if sh.HasProof() || v.VerifyShare(replies[0]) == nil {
+		t.Fatal("emitted share carries a proof; executors prove only on request")
+	}
+	// Asked, the replica answers the requester alone with the proven share.
+	w.r.Receive(2, &wire.ProofRequest{Bundle: wire.BundleDigest(replies[0].Entries), Client: 1000}, 0)
+	toRequester := w.cap.repliesTo(2)
+	if len(toRequester) != 2 || len(w.cap.sent) != len(top.Agreement)+1 {
+		t.Fatalf("%d shares to the requester, %d messages in all; want the bare one, then one answer", len(toRequester), len(w.cap.sent))
+	}
+	if err := v.VerifyShare(toRequester[1]); err != nil {
+		t.Fatalf("proven share invalid: %v", err)
+	}
+	if w.r.Metrics.ShareProofs != 1 {
+		t.Errorf("proofs = %d, want 1", w.r.Metrics.ShareProofs)
+	}
+}
+
+func TestRepeatedProofRequestYieldsOneProof(t *testing.T) {
+	w, _ := thresholdWorld(t)
+	reqs := []wire.Request{w.req("inc")}
+	w.commit(1, reqs)
+	bare := w.cap.repliesTo(0)[0]
+	ask := &wire.ProofRequest{Bundle: wire.BundleDigest(bare.Entries), Client: 1000}
+	// Every agreement replica asks, several times over.
+	for round := 0; round < 3; round++ {
+		for _, a := range top.Agreement {
+			w.r.Receive(a, ask, types.Time(round))
+		}
+	}
+	if w.r.Metrics.ShareProofs != 1 {
+		t.Fatalf("%d proofs for one bundle, want 1", w.r.Metrics.ShareProofs)
+	}
+	for _, a := range top.Agreement {
+		answers := w.cap.repliesTo(a)
+		if len(answers) != 4 { // the bare share, then three answers
+			t.Fatalf("replica %v received %d shares, want 4", a, len(answers))
+		}
+		if !bytes.Equal(wire.Marshal(answers[1]), wire.Marshal(answers[3])) {
+			t.Fatal("repeated answers differ: the proof was computed again")
+		}
+	}
+	// A retransmitted order still resends the bare bytes that were sent.
+	w.r.Receive(top.Agreement[3], w.order(top.Agreement[3], 1, reqs), 0)
+	if got := w.cap.repliesTo(0); !bytes.Equal(wire.Marshal(got[len(got)-1]), wire.Marshal(bare)) {
+		t.Error("resendCached sent the proven share instead of the bytes first sent")
+	}
+	// Nodes that are not reply destinations, and other bundles, get nothing.
+	before := len(w.cap.sent)
+	w.r.Receive(1000, ask, 0)
+	w.r.Receive(101, ask, 0)
+	w.r.Receive(0, &wire.ProofRequest{Bundle: types.DigestBytes([]byte("other")), Client: 1000}, 0)
+	w.r.Receive(0, &wire.ProofRequest{Bundle: ask.Bundle, Client: 1001}, 0)
+	if len(w.cap.sent) != before || w.r.Metrics.ShareProofs != 1 {
+		t.Errorf("%d messages sent for foreign or unknown requests", len(w.cap.sent)-before)
+	}
+}
+
+func TestProofRequestForPrunedBundleIgnored(t *testing.T) {
+	w, _ := thresholdWorld(t)
+	w.commit(1, []wire.Request{w.req("inc")})
+	first := w.cap.repliesTo(0)[0]
+	// Client 1000's next request replaces its cached bundle.
+	w.commit(2, []wire.Request{w.req("inc")})
+	before := len(w.cap.sent)
+	w.r.Receive(0, &wire.ProofRequest{Bundle: wire.BundleDigest(first.Entries), Client: 1000}, 0)
+	if len(w.cap.sent) != before || w.r.Metrics.ShareProofs != 0 {
+		t.Fatal("answered a proof request for a bundle no longer cached")
+	}
+	// And once a stable checkpoint prunes the cache, the latest goes too.
+	for n := types.SeqNum(3); n <= 5; n++ {
+		w.commit(n, []wire.Request{reqFrom(1001, types.Timestamp(n), "inc")})
+	}
+	digest := types.DigestBytes(w.r.ckptLocal[4])
+	w.vote(101, 4, digest)
+	w.vote(102, 4, digest)
+	if _, ok := w.r.lastOut[1000]; ok {
+		t.Fatal("client 1000's bundle below the watermark was not pruned")
+	}
+	second := w.cap.repliesTo(0)[1]
+	before = len(w.cap.sent)
+	w.r.Receive(0, &wire.ProofRequest{Bundle: wire.BundleDigest(second.Entries), Client: 1000}, 0)
+	if len(w.cap.sent) != before || w.r.Metrics.ShareProofs != 0 {
+		t.Fatal("answered a proof request for a pruned bundle")
 	}
 }
 

@@ -20,6 +20,7 @@ type metrics struct {
 	stateTransfers *obs.Counter
 	readsServed    *obs.Counter
 	readsRefused   *obs.Counter
+	shareProofs    *obs.Counter
 
 	applyLag  *obs.Histogram // first order share seen -> batch applied
 	ckptBytes *obs.Histogram
@@ -47,6 +48,8 @@ func newExecMetrics(reg *obs.Registry, id types.NodeID) metrics {
 			"certified-read probes answered from applied state", node),
 		readsRefused: reg.Counter("saebft_exec_reads_refused_total",
 			"certified-read probes answered with a signed refusal", node),
+		shareProofs: reg.Counter("saebft_exec_share_proofs_total",
+			"threshold share proofs computed because a combiner asked (zero while no executor lies)", node),
 		applyLag: reg.Histogram("saebft_exec_apply_seconds",
 			"latency from first agreement-certificate share seen to batch applied, protocol clock",
 			obs.LatencyBuckets, node),

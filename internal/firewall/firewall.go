@@ -157,10 +157,12 @@ func (f *Filter) Receive(from types.NodeID, msg wire.Message, now types.Time) {
 	}
 }
 
-// Tick implements transport.Node. Under ordered release it also frees
-// replies held past HoldMax (legitimate sequence gaps must not stall the
-// stream forever).
+// Tick implements transport.Node. At the top row it re-asks executors for
+// share proofs still missing every replycert.ProofRetry. Under ordered
+// release it also frees replies held past HoldMax (legitimate sequence gaps
+// must not stall the stream forever).
 func (f *Filter) Tick(now types.Time) {
+	f.askProofs(now)
 	if !f.cfg.OrderedRelease || len(f.held) == 0 {
 		return
 	}
@@ -267,11 +269,24 @@ func (f *Filter) onExecReply(from types.NodeID, m *wire.ExecReply, now types.Tim
 	before := f.assembler.Rejected
 	cert, _ := f.assembler.Add(m)
 	f.Metrics.SharesRejected += f.assembler.Rejected - before
+	f.askProofs(now)
 	if cert == nil {
 		return
 	}
 	f.Metrics.CertsCombined++
 	f.acceptReply(cert, now)
+}
+
+// askProofs sends the share-proof requests the top row's assembler owes the
+// executors (none unless a combination failed). They flow up only: nothing
+// about them travels down through the grid.
+func (f *Filter) askProofs(now types.Time) {
+	if f.assembler == nil {
+		return
+	}
+	for _, ask := range f.assembler.Asks(now) {
+		f.send(ask.Executor, wire.Marshal(&ask.Req))
+	}
 }
 
 // onReplyCert handles a complete certificate flowing down from the row

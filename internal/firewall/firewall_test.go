@@ -110,7 +110,17 @@ func entries(n types.SeqNum) []wire.Reply {
 	return []wire.Reply{{Seq: n, Client: 1000, Timestamp: types.Timestamp(n), Body: []byte("r")}}
 }
 
+// share is executor idx's bare share over es, as executors send it.
 func share(t *testing.T, idx int, es []wire.Reply) *wire.ExecReply {
+	t.Helper()
+	_, shares := thresholdWorld(t)
+	sh := shares[idx].Share(wire.BundleDigest(es))
+	return &wire.ExecReply{Entries: es, Executor: top.Execution[idx], Share: sh.Marshal()}
+}
+
+// provenShare is executor idx's proven share over es, as it answers a proof
+// request.
+func provenShare(t *testing.T, idx int, es []wire.Reply) *wire.ExecReply {
 	t.Helper()
 	_, shares := thresholdWorld(t)
 	sh, err := shares[idx].Sign(threshold.NewSeededReader("fw-share"), wire.BundleDigest(es))

@@ -15,6 +15,7 @@ package mqueue
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/auth"
@@ -231,13 +232,26 @@ func (q *Queue) Busy(now types.Time) bool {
 // --- reply handling -------------------------------------------------------------
 
 // OnExecReply accumulates one executor's share; when g+1 distinct executors
-// vouch for a bundle, the certificate completes.
+// vouch for a bundle, the certificate completes. A threshold combination
+// that fails makes the queue ask the executors it holds unproven shares of
+// for their proofs.
 func (q *Queue) OnExecReply(m *wire.ExecReply, now types.Time) {
 	before := q.assembler.Rejected
 	cert, _ := q.assembler.Add(m)
 	q.Metrics.SharesRejected += q.assembler.Rejected - before
 	if cert != nil {
 		q.acceptCert(cert, now)
+	}
+	q.askProofs(now)
+}
+
+// askProofs sends the share-proof requests the assembler owes its executor
+// destinations (none unless a combination failed).
+func (q *Queue) askProofs(now types.Time) {
+	for _, ask := range q.assembler.Asks(now) {
+		if slices.Contains(q.cfg.Dests, ask.Executor) {
+			q.send(ask.Executor, wire.Marshal(&ask.Req))
+		}
 	}
 }
 
@@ -287,8 +301,10 @@ func (q *Queue) acceptCert(cert *wire.ReplyCert, now types.Time) {
 	q.maybeFinishSync()
 }
 
-// Tick drives retransmission with exponential backoff.
+// Tick drives retransmission with exponential backoff, and re-asks for
+// share proofs still missing every replycert.ProofRetry.
 func (q *Queue) Tick(now types.Time) {
+	q.askProofs(now)
 	for _, ps := range q.pending {
 		if now < ps.deadline {
 			continue

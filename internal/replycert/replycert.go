@@ -16,8 +16,10 @@
 package replycert
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/auth"
 	"repro/internal/threshold"
@@ -107,7 +109,7 @@ func (v *Verifier) VerifyCert(cert *wire.ReplyCert) error {
 
 // VerifyShare checks one executor's contribution in isolation. In quorum
 // mode that is its attestation; in threshold mode, its signature share and
-// correctness proof.
+// correctness proof, so a bare share fails.
 func (v *Verifier) VerifyShare(m *wire.ExecReply) error {
 	sh, err := v.checkShare(m)
 	if err != nil {
@@ -158,12 +160,16 @@ func (v *Verifier) checkShare(m *wire.ExecReply) (*threshold.SigShare, error) {
 // Add looks the bundle up before verifying anything: a share for a certified
 // bundle, or from an executor already counted, costs no cryptography. Quorum
 // mode holds only verified attestations. Threshold mode holds shares
-// unproven, because the combined signature is verified anyway and that alone
-// decides whether a certificate leaves; proofs run only to name the culprits
-// of a failed combination, or when a different share claims a held slot.
+// unproven: executors send bare shares, and the combined signature is
+// verified anyway, which alone decides whether a certificate leaves. Only
+// when a combination fails do proofs come in: Asks names the executors whose
+// held shares are unproven, the combiner requests their proofs, and each
+// proven share that arrives costs one check before the culprits are evicted
+// and the rest recombined.
 type Assembler struct {
 	v       *Verifier
 	pending map[types.Digest]*pendingBundle
+	failing map[types.Digest]*pendingBundle // threshold bundles whose held shares failed to combine (Asks prunes it)
 
 	// Rejected counts the shares refused on arrival, evicted after a failed
 	// combination, or displaced by a proven share of the same executor.
@@ -177,19 +183,36 @@ type pendingBundle struct {
 	maxSeq  types.SeqNum
 	atts    map[types.NodeID]auth.Attestation
 	shares  map[types.NodeID]*heldShare
+	failed  bool // the held shares failed to combine: only proven ones combine until a culprit leaves
 	done    bool
 }
 
-// heldShare is one executor's threshold share and whether its proof has been
-// checked yet.
+// heldShare is one executor's threshold share, whether its proof has been
+// checked, and when its executor was last asked for the proof.
 type heldShare struct {
-	sh     *threshold.SigShare
-	proven bool
+	sh      *threshold.SigShare
+	proven  bool
+	asked   bool
+	askedAt types.Time
+}
+
+// ProofRetry is how long a combiner waits for a requested share proof
+// before asking the executor again.
+const ProofRetry types.Time = 20_000_000 // 20 ms
+
+// ProofAsk is one proof request a combiner owes an executor.
+type ProofAsk struct {
+	Executor types.NodeID
+	Req      wire.ProofRequest
 }
 
 // NewAssembler returns an Assembler over the Verifier.
 func NewAssembler(v *Verifier) *Assembler {
-	return &Assembler{v: v, pending: make(map[types.Digest]*pendingBundle)}
+	return &Assembler{
+		v:       v,
+		pending: make(map[types.Digest]*pendingBundle),
+		failing: make(map[types.Digest]*pendingBundle),
+	}
 }
 
 // proven counts one proof or attestation check and, if it failed, its share.
@@ -235,17 +258,26 @@ func (a *Assembler) Add(m *wire.ExecReply) (*wire.ReplyCert, error) {
 		switch held := pb.shares[m.Executor]; {
 		case held == nil:
 			pb.shares[m.Executor] = &heldShare{sh: sh}
-		case held.proven || held.sh.Xi.Cmp(sh.Xi) == 0:
+		case held.proven || !sh.HasProof() && held.sh.Xi.Cmp(sh.Xi) == 0:
 			return nil, nil
-		default:
+		case !sh.HasProof():
 			// A different share must prove itself to displace an unproven
 			// holder: a forgery parked in the slot can then never keep the
-			// executor's real share out, and costs its sender one check.
+			// executor's real share out.
+			a.Rejected++
+			return nil, fmt.Errorf("%w: unproven share of %v differs from the one held", ErrInvalid, m.Executor)
+		default:
+			// A proven share for an unproven slot (the answer to a proof
+			// request, or a displacement) costs its one check: the same x_i
+			// proves the holder, a different one displaces it.
 			if err := a.proven(a.v.Threshold.VerifyShare(digest, sh)); err != nil {
 				return nil, err
 			}
+			if held.sh.Xi.Cmp(sh.Xi) != 0 {
+				a.Rejected++
+				pb.failed = false // the displaced share may be what failed
+			}
 			held.sh, held.proven = sh, true
-			a.Rejected++
 		}
 		a.pending[digest] = pb
 		return a.combine(digest, pb, m.Executor)
@@ -269,38 +301,120 @@ func (a *Assembler) Add(m *wire.ExecReply) (*wire.ReplyCert, error) {
 	return &wire.ReplyCert{Entries: pb.entries, Atts: q.Attestations()}, nil
 }
 
-// combine certifies a bundle once it holds a quorum of shares. A combination
-// that fails means some held share lied: the unproven ones are proven, the
-// culprits evicted and counted, and the rest combined again when they still
-// make a quorum. The error reports that from's own share was a culprit.
+// combine certifies a bundle once it holds a quorum of shares. The first
+// quorum is combined without any proof checked. A failed combination means
+// some held share lied: proofs that came with held shares are checked and
+// their culprits evicted and counted, and the rest combined again once they
+// make a quorum; unproven shares whose executors sent no proof are left to
+// Asks, and until a culprit is evicted or displaced only proven shares
+// combine. The error reports that from's own share was a culprit.
 func (a *Assembler) combine(digest types.Digest, pb *pendingBundle, from types.NodeID) (*wire.ReplyCert, error) {
-	for len(pb.shares) >= a.v.Quorum {
-		shares := make([]*threshold.SigShare, 0, len(pb.shares))
-		for _, held := range pb.shares {
-			//lint:allow simdeterminism Combine selects and orders shares by ascending player index internally, so input order cannot reach the signature bytes (TestCombineSubsetIndependence)
-			shares = append(shares, held.sh)
+	for {
+		if pb.failed {
+			a.checkHeldProofs(digest, pb)
+		}
+		shares, proven := a.pick(pb)
+		if shares == nil {
+			break
 		}
 		sig, err := a.v.Threshold.Combine(digest, shares)
 		if err == nil {
 			pb.done = true
 			return &wire.ReplyCert{Entries: pb.entries, ThresholdSig: sig}, nil
 		}
-		evicted := false
-		for id, held := range pb.shares {
-			if !held.proven && a.proven(a.v.Threshold.VerifyShare(digest, held.sh)) != nil {
-				delete(pb.shares, id)
-				evicted = true
-			}
-			held.proven = true
+		if proven {
+			return nil, err // proven shares, yet no signature: not a share's fault
 		}
-		if !evicted {
-			return nil, err // every share proven yet no signature: not a share's fault
-		}
+		pb.failed = true
+		a.failing[digest] = pb
 	}
 	if pb.shares[from] == nil {
 		return nil, fmt.Errorf("%w: share of %v failed its proof", ErrInvalid, from)
 	}
 	return nil, nil
+}
+
+// pick returns exactly a quorum of held shares to combine next, and whether
+// they are all proven: proven shares first, then unproven ones by ascending
+// player index, the unproven ones only while the held set is not known to
+// fail. It returns nil when no such quorum is held. Combine, given exactly
+// K shares, checks no proof itself.
+func (a *Assembler) pick(pb *pendingBundle) ([]*threshold.SigShare, bool) {
+	proven := 0
+	for _, h := range pb.shares {
+		if h.proven {
+			proven++
+		}
+	}
+	if proven < a.v.Quorum && (pb.failed || len(pb.shares) < a.v.Quorum) {
+		return nil, false
+	}
+	held := make([]*heldShare, 0, len(pb.shares))
+	for _, h := range pb.shares {
+		held = append(held, h)
+	}
+	sort.Slice(held, func(i, j int) bool {
+		if held[i].proven != held[j].proven {
+			return held[i].proven
+		}
+		return held[i].sh.Index < held[j].sh.Index
+	})
+	shares := make([]*threshold.SigShare, a.v.Quorum)
+	for i := range shares {
+		shares[i] = held[i].sh
+	}
+	return shares, proven >= a.v.Quorum
+}
+
+// checkHeldProofs checks every proof that came with a held, unproven share,
+// evicting and counting the shares whose proof fails. An eviction removes a
+// share the failed combination used, so the rest may combine optimistically
+// again.
+func (a *Assembler) checkHeldProofs(digest types.Digest, pb *pendingBundle) {
+	for id, held := range pb.shares {
+		if held.proven || !held.sh.HasProof() {
+			continue
+		}
+		if a.proven(a.v.Threshold.VerifyShare(digest, held.sh)) != nil {
+			delete(pb.shares, id)
+			pb.failed = false
+		} else {
+			held.proven = true
+		}
+	}
+}
+
+// Asks returns the proof requests due at now: the executor of every
+// unproven share held for a bundle whose held shares failed to combine is
+// asked once, and again every ProofRetry until its proof arrives or the
+// bundle is certified or collected. The requests are sorted, so the
+// combiner's sends are deterministic. While no combination has failed it
+// returns nil without looking at any bundle.
+func (a *Assembler) Asks(now types.Time) []ProofAsk {
+	if len(a.failing) == 0 {
+		return nil
+	}
+	var asks []ProofAsk
+	for digest, pb := range a.failing {
+		if pb.done || !pb.failed {
+			delete(a.failing, digest)
+			continue
+		}
+		for id, held := range pb.shares {
+			if held.proven || held.asked && now < held.askedAt+ProofRetry {
+				continue
+			}
+			held.asked, held.askedAt = true, now
+			asks = append(asks, ProofAsk{Executor: id, Req: wire.ProofRequest{Bundle: digest, Client: pb.entries[0].Client}})
+		}
+	}
+	sort.Slice(asks, func(i, j int) bool {
+		if c := bytes.Compare(asks[i].Req.Bundle[:], asks[j].Req.Bundle[:]); c != 0 {
+			return c < 0
+		}
+		return asks[i].Executor < asks[j].Executor
+	})
+	return asks
 }
 
 // SplitOpReplies splits the certified reply body of a multi-op request
@@ -325,6 +439,7 @@ func (a *Assembler) GC(n types.SeqNum) {
 	for d, pb := range a.pending {
 		if pb.maxSeq <= n {
 			delete(a.pending, d)
+			delete(a.failing, d)
 		}
 	}
 }

@@ -157,6 +157,8 @@ func thresholdWorld(t *testing.T) (*threshold.PublicKey, []*threshold.KeyShare) 
 	return thPub, thShares
 }
 
+// thresholdReply is executor idx's proven share over es: what it answers a
+// proof request with.
 func thresholdReply(t *testing.T, shares []*threshold.KeyShare, idx int, es []wire.Reply) *wire.ExecReply {
 	t.Helper()
 	sh, err := shares[idx].Sign(threshold.NewSeededReader("share"), wire.BundleDigest(es))
@@ -166,17 +168,23 @@ func thresholdReply(t *testing.T, shares []*threshold.KeyShare, idx int, es []wi
 	return &wire.ExecReply{Entries: es, Executor: testTop.Execution[idx], Share: sh.Marshal()}
 }
 
+// bareReply is executor idx's bare share over es: what it sends on execution.
+func bareReply(shares []*threshold.KeyShare, idx int, es []wire.Reply) *wire.ExecReply {
+	sh := shares[idx].Share(wire.BundleDigest(es))
+	return &wire.ExecReply{Entries: es, Executor: testTop.Execution[idx], Share: sh.Marshal()}
+}
+
 func TestThresholdAssembly(t *testing.T) {
 	pub, shares := thresholdWorld(t)
 	v := NewVerifier(ModeThreshold, testTop, nil, pub)
 	a := NewAssembler(v)
 	es := entries(3)
 
-	cert, err := a.Add(thresholdReply(t, shares, 0, es))
+	cert, err := a.Add(bareReply(shares, 0, es))
 	if err != nil || cert != nil {
 		t.Fatalf("first share: %v %v", cert, err)
 	}
-	cert, err = a.Add(thresholdReply(t, shares, 2, es))
+	cert, err = a.Add(bareReply(shares, 2, es))
 	if err != nil {
 		t.Fatal(err)
 	}

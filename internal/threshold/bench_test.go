@@ -41,6 +41,15 @@ func BenchmarkSign(b *testing.B) {
 	}
 }
 
+// BenchmarkShare times the bare share an executor computes per bundle.
+func BenchmarkShare(b *testing.B) {
+	_, keys, d, _ := benchShares(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		keys[0].Share(d)
+	}
+}
+
 func BenchmarkVerifyShare(b *testing.B) {
 	pub, _, d, shares := benchShares(b)
 	b.ReportAllocs()

@@ -4,13 +4,16 @@
 //
 // A dealer splits an RSA signing key among `players` nodes so that any k of
 // them can jointly produce one ordinary RSA signature, while fewer than k
-// learn nothing. Each signature share carries a non-interactive
-// Chaum–Pedersen-style proof of correctness, so a combiner (a privacy
-// firewall top-row filter) whose combination failed can name and discard
-// the shares fabricated by Byzantine execution replicas without
-// trial-and-error over subsets. The proofs are needed for nothing else: the
-// combined signature is an ordinary RSA signature, and verifying it decides
-// by itself whether the shares were good.
+// learn nothing. A signature share is a bare value (Share); a separate,
+// non-interactive Chaum–Pedersen-style proof of its correctness (Prove) is
+// computed only when a combiner asks for it. The combined signature is an
+// ordinary RSA signature, and verifying it decides by itself whether the
+// shares were good, so proofs are needed only after a combination failed:
+// they let the combiner (a message queue or a privacy firewall top-row
+// filter) name and discard the shares fabricated by Byzantine execution
+// replicas with one check per share, rather than by trial combination over
+// subsets, which a Byzantine executor could force to cost C(2g+1, g+1)
+// combinations per bundle.
 //
 // The scheme matters for confidentiality, not just cost amortization: a
 // combined threshold signature is byte-identical no matter which correct
@@ -69,9 +72,9 @@ type KeyShare struct {
 	S     *big.Int // share s_i = f(i) mod λ(N)
 }
 
-// SigShare is one player's contribution to a signature: x_i = x^{2Δ s_i} and
-// a Fiat–Shamir proof (Z, C) that x_i was computed with the same exponent as
-// the player's verification key.
+// SigShare is one player's contribution to a signature: x_i = x^{2Δ s_i} and,
+// once proven, a Fiat–Shamir proof (Z, C) that x_i was computed with the same
+// exponent as the player's verification key. A bare share has no proof.
 type SigShare struct {
 	Index int
 	Xi    *big.Int
@@ -197,42 +200,65 @@ func proofChallenge(pk *PublicKey, xt, vi, xi2, vp, xp *big.Int) *big.Int {
 	return new(big.Int).SetBytes(d[:])
 }
 
-// Sign produces this player's signature share over digest, with its proof of
-// correctness. rng supplies the proof's blinding randomness.
+// Sign produces this player's signature share over digest with its proof of
+// correctness: Share followed by Prove. rng supplies the proof's blinding
+// randomness.
 func (ks *KeyShare) Sign(rng io.Reader, digest types.Digest) (*SigShare, error) {
+	sh := ks.Share(digest)
+	if err := ks.Prove(rng, digest, sh); err != nil {
+		return nil, err
+	}
+	return sh, nil
+}
+
+// Share produces this player's bare signature share over digest: x_i, with
+// Z and C left empty. It is deterministic and draws no randomness; its one
+// exponentiation is about a fifth of what Sign costs.
+func (ks *KeyShare) Share(digest types.Digest) *SigShare {
 	pk := ks.Pub
-	x := pk.fdh(digest)
-	delta := pk.delta()
-
-	exp := new(big.Int).Lsh(delta, 1) // 2Δ
+	exp := new(big.Int).Lsh(pk.delta(), 1) // 2Δ
 	exp.Mul(exp, ks.S)
-	xi := new(big.Int).Exp(x, exp, pk.N)
+	return &SigShare{Index: ks.Index, Xi: new(big.Int).Exp(pk.fdh(digest), exp, pk.N)}
+}
 
+// Prove fills in the proof of correctness of sh, this player's share over
+// digest as Share produced it. rng supplies the proof's blinding randomness.
+func (ks *KeyShare) Prove(rng io.Reader, digest types.Digest, sh *SigShare) error {
+	pk := ks.Pub
+	if sh.Index != ks.Index || sh.Xi == nil {
+		return ErrBadShare
+	}
 	// Proof that log_v(v_i) == log_{x^{4Δ}}(x_i^2), i.e. the share used s_i.
-	xt := new(big.Int).Exp(x, new(big.Int).Lsh(delta, 2), pk.N) // x^{4Δ}
-	xi2 := new(big.Int).Exp(xi, two, pk.N)
+	xt := new(big.Int).Exp(pk.fdh(digest), new(big.Int).Lsh(pk.delta(), 2), pk.N) // x^{4Δ}
+	xi2 := new(big.Int).Exp(sh.Xi, two, pk.N)
 
 	// Blinding exponent: |N| + 2*256 bits, per Shoup's statistical hiding.
 	bound := new(big.Int).Lsh(one, uint(pk.N.BitLen()+512))
 	r, err := randInt(rng, bound)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vp := new(big.Int).Exp(pk.V, r, pk.N)
 	xp := new(big.Int).Exp(xt, r, pk.N)
 	c := proofChallenge(pk, xt, pk.VKs[ks.Index-1], xi2, vp, xp)
 	z := new(big.Int).Mul(ks.S, c)
-	z.Add(z, r)
-
-	return &SigShare{Index: ks.Index, Xi: xi, Z: z, C: c}, nil
+	sh.Z, sh.C = z.Add(z, r), c
+	return nil
 }
 
-// VerifyShare checks a signature share's correctness proof.
+// HasProof reports whether the share carries a proof at all; whether the
+// proof holds is VerifyShare's question.
+func (sh *SigShare) HasProof() bool {
+	return sh.Z != nil && sh.C != nil && sh.Z.Sign() > 0 && sh.C.Sign() > 0
+}
+
+// VerifyShare checks a signature share's correctness proof. A share that
+// carries no proof is refused.
 func (pk *PublicKey) VerifyShare(digest types.Digest, sh *SigShare) error {
 	// A correct proof has a SHA-256 challenge C and a response Z = s·C + r
 	// with s < N and r < 2^(|N|+512); anything larger is refused before it
 	// can be used as an exponent.
-	if !pk.wellFormed(sh) || sh.Z == nil || sh.C == nil || sh.Z.Sign() < 0 || sh.C.Sign() < 0 ||
+	if !pk.wellFormed(sh) || !sh.HasProof() ||
 		sh.C.BitLen() > 8*sha256.Size || sh.Z.BitLen() > pk.N.BitLen()+513 {
 		return ErrBadShare
 	}
@@ -259,7 +285,7 @@ func (pk *PublicKey) VerifyShare(digest types.Digest, sh *SigShare) error {
 	return nil
 }
 
-// lagrangeNumDen returns λ^S_{0,i} = Δ · Π_{j∈S\{i}} (0-j)/(i-j) as an exact
+// lagrange returns λ^S_{0,i} = Δ · Π_{j∈S\{i}} (0-j)/(i-j) as an exact
 // integer (Δ = players! clears all denominators).
 func (pk *PublicKey) lagrange(indices []int, i int) *big.Int {
 	num := pk.delta()
@@ -293,12 +319,13 @@ func (pk *PublicKey) wellFormed(sh *SigShare) bool {
 //
 // The combined signature is checked against the public key before it is
 // returned, and that check alone decides the result, so Combine is
-// optimistic: it first interpolates the K lowest-indexed well-formed shares
-// without proving them. Only when that signature fails does it prove every
-// share and combine the K lowest-indexed valid ones. Given exactly K shares a
-// failure cannot be repaired by discarding any of them, so none is proven:
-// fewer than K are valid. A caller that wants to name the culprit proves the
-// shares itself with VerifyShare.
+// optimistic: it first interpolates the K lowest-indexed well-formed shares,
+// bare or proven, without checking any proof. Only when that signature fails
+// does it check every share's proof and combine the K lowest-indexed valid
+// ones; a bare share counts as invalid there. Given exactly K shares a
+// failure cannot be repaired by discarding any of them, so no proof is
+// checked: fewer than K are valid. A caller that wants to name the culprit
+// obtains the proofs and checks them itself with VerifyShare.
 func (pk *PublicKey) Combine(digest types.Digest, shares []*SigShare) ([]byte, error) {
 	sig, err := pk.combine(digest, shares, false)
 	switch {
@@ -409,19 +436,25 @@ func (pk *PublicKey) Verify(digest types.Digest, sig []byte) error {
 
 // --- share wire encoding ----------------------------------------------------
 
-// Marshal encodes the share for transport inside an ExecReply.
+// Marshal encodes the share for transport inside an ExecReply. A bare
+// share's proof fields are encoded empty.
 func (sh *SigShare) Marshal() []byte {
 	var w wire.Writer
 	w.U32(uint32(sh.Index))
-	w.Bytes(sh.Xi.Bytes())
-	w.Bytes(sh.Z.Bytes())
-	w.Bytes(sh.C.Bytes())
+	for _, x := range []*big.Int{sh.Xi, sh.Z, sh.C} {
+		var b []byte
+		if x != nil {
+			b = x.Bytes()
+		}
+		w.Bytes(b)
+	}
 	return w.B
 }
 
-// UnmarshalSigShare decodes a share produced by Marshal. Only that encoding
-// is accepted (minimal big-endian integers, no trailing bytes), so a share
-// has exactly one byte representation.
+// UnmarshalSigShare decodes a share produced by Marshal, bare or proven.
+// Only that encoding is accepted (minimal big-endian integers, no trailing
+// bytes), so a share has exactly one byte representation. Empty proof
+// fields decode as zero, which HasProof reports as no proof.
 func UnmarshalSigShare(b []byte) (*SigShare, error) {
 	r := wire.NewReader(b)
 	index := int(r.U32())

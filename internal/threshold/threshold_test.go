@@ -107,6 +107,30 @@ func TestCombineSubsetIndependence(t *testing.T) {
 		}
 	}
 
+	// Bare shares, as executors send them, combine to the same bytes, alone
+	// or mixed with proven ones.
+	bare := make([]*SigShare, 3)
+	for i, ks := range shares {
+		bare[i] = ks.Share(d)
+		if bare[i].HasProof() || bare[i].Xi.Cmp(sh[i].Xi) != 0 {
+			t.Fatalf("bare share %d: proof %v, same x_i %v", i, bare[i].HasProof(), bare[i].Xi.Cmp(sh[i].Xi) == 0)
+		}
+	}
+	for i, sub := range [][]*SigShare{
+		{bare[0], bare[1]},
+		{bare[2], bare[1]},
+		{bare[0], bare[1], bare[2]},
+		{bare[0], sh[2]},
+	} {
+		sig, err := pub.Combine(d, sub)
+		if err != nil {
+			t.Fatalf("bare subset %d: %v", i, err)
+		}
+		if !bytes.Equal(first, sig) {
+			t.Fatalf("bare subset %d produced a different signature", i)
+		}
+	}
+
 	// The same must hold when shares go in unproven and some of them lie:
 	// whether the optimistic combination succeeds at once or the proofs
 	// have to sort the culprits out first, the bytes are those of the
@@ -139,6 +163,39 @@ func TestCombineSubsetIndependence(t *testing.T) {
 		if !bytes.Equal(first, sig) {
 			t.Fatalf("subset %d with culprits produced a different signature", i)
 		}
+	}
+}
+
+func TestShareThenProveIsSign(t *testing.T) {
+	pub, shares := dealTestKey(t)
+	d := types.DigestBytes([]byte("share-prove"))
+	signed, err := shares[1].Sign(NewSeededReader("share-prove"), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shares[1].Share(d)
+	if err := pub.VerifyShare(d, sh); err == nil {
+		t.Fatal("VerifyShare accepted a share that carries no proof")
+	}
+	bare, err := UnmarshalSigShare(sh.Marshal())
+	if err != nil {
+		t.Fatalf("bare share does not decode: %v", err)
+	}
+	if bare.HasProof() || pub.VerifyShare(d, bare) == nil {
+		t.Fatal("a decoded bare share counts as proven")
+	}
+	if err := shares[1].Prove(NewSeededReader("share-prove"), d, sh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sh.Marshal(), signed.Marshal()) {
+		t.Fatal("Share followed by Prove differs from Sign with the same randomness")
+	}
+	if err := pub.VerifyShare(d, sh); err != nil {
+		t.Fatalf("proven share: %v", err)
+	}
+	// A key share proves only its own player's shares.
+	if err := shares[0].Prove(NewSeededReader("x"), d, shares[1].Share(d)); err == nil {
+		t.Error("Prove accepted another player's share")
 	}
 }
 

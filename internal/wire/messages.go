@@ -72,6 +72,8 @@ func (t MsgType) String() string {
 		return "READ-REQUEST"
 	case TReadReply:
 		return "READ-REPLY"
+	case TProofRequest:
+		return "PROOF-REQUEST"
 	default:
 		return fmt.Sprintf("MSG(%d)", uint8(t))
 	}
@@ -139,6 +141,8 @@ func Unmarshal(data []byte) (Message, error) {
 		m = &ReadRequest{}
 	case TReadReply:
 		m = &ReadReply{}
+	case TProofRequest:
+		m = &ProofRequest{}
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", data[0])
 	}
@@ -723,6 +727,34 @@ func (m *ExecReply) unmarshalFrom(r *Reader) {
 	m.Executor = r.Node()
 	m.Share = r.Bytes()
 	m.Att = getAtt(r)
+}
+
+// TProofRequest tags ProofRequest, continuing the MsgType space after the
+// read-path messages.
+const TProofRequest MsgType = 21
+
+// ProofRequest asks an executor for the correctness proof of its threshold
+// share of one reply bundle. Executors send bare shares; a combiner (message
+// queue or top-row filter) whose held shares failed to combine asks the
+// executors whose shares it holds unproven. The executor answers the
+// requester alone with an ExecReply carrying the proven share, or ignores
+// the request if that bundle is no longer its last one for Client.
+type ProofRequest struct {
+	Bundle types.Digest // BundleDigest of the bundle
+	Client types.NodeID // a client with an entry in the bundle
+}
+
+// Type implements Message.
+func (m *ProofRequest) Type() MsgType { return TProofRequest }
+
+func (m *ProofRequest) marshalTo(w *Writer) {
+	w.Digest(m.Bundle)
+	w.Node(m.Client)
+}
+
+func (m *ProofRequest) unmarshalFrom(r *Reader) {
+	m.Bundle = r.Digest()
+	m.Client = r.Node()
 }
 
 // ReplyCert is a complete reply certificate ⟨REPLY,...⟩_{E,c,g+1}: the bundle

@@ -44,7 +44,9 @@ func roundTrip(t *testing.T, m Message) Message {
 	return out
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
+// sampleMessages returns one populated message of every type Unmarshal
+// knows, in MsgType order.
+func sampleMessages() []Message {
 	req := sampleRequest()
 	nd := types.NonDet{Time: 7, Rand: types.DigestBytes([]byte("r"))}
 	pp := PrePrepare{View: 1, Seq: 9, ND: nd, Requests: []Request{req}, Primary: 1, Att: att(1, "p")}
@@ -64,7 +66,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Replica: 2,
 		Att:     att(2, "vc-sig"),
 	}
-	msgs := []Message{
+	readReq, readRep := sampleReadRequest(), sampleReadReply()
+	return []Message{
 		&req,
 		&pp,
 		&Prepare{View: 1, Seq: 9, OD: pp.OrderDigest(), Replica: 2, Att: att(2, "pr")},
@@ -73,7 +76,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&vc,
 		&NewView{View: 3, ViewChanges: []ViewChange{vc}, PrePrepares: []PrePrepare{pp}, Primary: 3, Att: att(3, "nv")},
 		&Order{View: 1, Seq: 9, ND: nd, Requests: []Request{req}, Replica: 0, Att: att(0, "or")},
-		&OrderProof{View: 1, Seq: 9, ND: nd, Requests: []Request{req}, Atts: []auth.Attestation{att(0, "a"), att(1, "b"), att(2, "c")}},
 		&ExecReply{
 			Entries:  []Reply{{View: 1, Seq: 9, Client: 100, Timestamp: 42, Body: []byte("ok")}},
 			Executor: 10, Share: []byte("tshare"), Att: att(10, "ra"),
@@ -85,12 +87,28 @@ func TestRoundTripAllMessages(t *testing.T) {
 		},
 		&ExecCheckpoint{Seq: 64, State: types.DigestBytes([]byte("es")), Executor: 11, Att: att(11, "ec")},
 		&FetchMissing{Seq: 5, Executor: 12},
+		&OrderProof{View: 1, Seq: 9, ND: nd, Requests: []Request{req}, Atts: []auth.Attestation{att(0, "a"), att(1, "b"), att(2, "c")}},
 		&StableProof{Seq: 64, State: types.DigestBytes([]byte("es")), Atts: []auth.Attestation{att(10, "u"), att(11, "v")}},
 		&CheckpointFetch{Seq: 64, Executor: 12},
 		&CheckpointData{Seq: 64, State: types.DigestBytes([]byte("es")), Payload: []byte("snapshot-bytes")},
+		&Status{View: 4, LastExec: 100, LastStable: 64, Replica: 3},
+		&CommitProof{PP: pp, Commits: []auth.Attestation{att(0, "c0"), att(1, "c1"), att(2, "c2")}},
+		&readReq,
+		&readRep,
+		&ProofRequest{Bundle: types.DigestBytes([]byte("bundle")), Client: 1000},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllMessages(t *testing.T) {
+	msgs := sampleMessages()
+	for i, m := range msgs {
+		if m.Type() != MsgType(i+1) {
+			t.Fatalf("sample %d is a %v; want one message per type, in order", i, m.Type())
+		}
 		roundTrip(t, m)
+	}
+	if next := MsgType(len(msgs) + 1); next.String()[0] != 'M' {
+		t.Fatalf("%v has no sample message", next)
 	}
 }
 
@@ -262,7 +280,7 @@ func TestWriterReaderPrimitives(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for mt := TRequest; mt <= TCheckpointData; mt++ {
+	for mt := TRequest; mt <= TProofRequest; mt++ {
 		if s := mt.String(); s == "" || s[0] == 'M' {
 			t.Errorf("MsgType(%d).String() = %q", mt, s)
 		}

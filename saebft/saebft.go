@@ -156,9 +156,10 @@ type Stats struct {
 	ReadsServed    uint64 // reads answered by execution replicas in this process
 	ReadsRefused   uint64 // reads those replicas refused (not read-only, lagging, sealed)
 
-	// SharesRejected counts forged shares/certificates rejected by
-	// firewall filters hosted in this process (always zero outside
-	// ModeFirewall).
+	// SharesRejected counts forged executor shares and certificates
+	// rejected by the firewall filters and agreement-side message queues
+	// hosted in this process: refused on arrival, failing their proof once
+	// asked for it, or displaced by the executor's proven share.
 	SharesRejected uint64
 
 	// StorageFailures counts replicas in this process that have

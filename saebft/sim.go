@@ -286,6 +286,9 @@ func (r *simRuntime) stats() (Stats, error) {
 		for _, f := range r.c.Filters {
 			s.SharesRejected += f.Metrics.SharesRejected
 		}
+		for _, q := range r.c.Queues {
+			s.SharesRejected += q.Metrics.SharesRejected
+		}
 		for _, e := range r.c.Engines {
 			if e.StorageErr() != nil {
 				s.StorageFailures++

@@ -405,6 +405,9 @@ func (r *tcpRuntime) stats() (Stats, error) {
 			if f, ok := node.(*firewall.Filter); ok {
 				s.SharesRejected += f.Metrics.SharesRejected
 			}
+			if an, ok := node.(*core.AgreementNode); ok {
+				s.SharesRejected += an.Queue.Metrics.SharesRejected
+			}
 			if ex, ok := node.(*execnode.Replica); ok {
 				s.ReadsServed += ex.Metrics.ReadsServed
 				s.ReadsRefused += ex.Metrics.ReadsRefused

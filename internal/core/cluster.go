@@ -121,18 +121,8 @@ func (o *Options) fillDefaults() {
 	if o.Clients == 0 {
 		o.Clients = 1
 	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 16
-	}
-	if o.Pipeline == 0 {
-		o.Pipeline = 32
-	}
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 64
-	}
-	if o.WindowSize == 0 {
-		o.WindowSize = 2 * o.CheckpointInterval
-	}
+	// Zero batching, pipeline, checkpoint and window knobs pass through:
+	// pbft, mqueue, execnode and firewall each own their default.
 	if o.ThresholdBits == 0 {
 		o.ThresholdBits = 512
 	}

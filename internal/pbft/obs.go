@@ -26,7 +26,10 @@ type metrics struct {
 	equivocations *obs.Counter
 	fsyncsSaved   *obs.Counter
 
+	batchCuts [numCuts]*obs.Counter // by reason (see cutReason); cutNone stays nil
+
 	batchSize  *obs.Histogram
+	batchWait  *obs.Histogram // batch timer armed (first request queued) -> proposal
 	prepareLat *obs.Histogram // pre-prepare accepted -> prepared
 	commitLat  *obs.Histogram // prepared -> committed
 	executeLat *obs.Histogram // committed -> executed
@@ -46,7 +49,15 @@ func newPBFTMetrics(reg *obs.Registry, id types.NodeID) metrics {
 			"agreement phase latency on the protocol clock, by phase",
 			obs.LatencyBuckets, node, obs.L("phase", p))
 	}
+	var cuts [numCuts]*obs.Counter
+	for c := cutSize; c < numCuts; c++ {
+		cuts[c] = reg.Counter("saebft_pbft_batch_cuts_total",
+			"batches the primary proposed, by why the batch closed", node, obs.L("reason", c.String()))
+	}
 	return metrics{
+		batchCuts: cuts,
+		batchWait: reg.Histogram("saebft_pbft_batch_wait_seconds",
+			"time a proposed batch was held open, first queued request to proposal", obs.LatencyBuckets, node),
 		batches: reg.Counter("saebft_pbft_batches_total",
 			"batches executed in total order", node),
 		requests: reg.Counter("saebft_pbft_requests_total",

@@ -85,9 +85,14 @@ type Config struct {
 	// protocol state stays a pure function of inputs. Nil verifies inline.
 	Verify *auth.VerifyPool
 
-	BatchSize          int        // max requests per batch (paper's bundle size)
-	BatchBytes         int        // max request-body bytes per batch (multi-op requests can be large)
-	BatchWait          types.Time // propose a partial batch after this delay
+	BatchSize  int // max requests per batch (paper's bundle size)
+	BatchBytes int // max request-body bytes per batch (multi-op requests can be large)
+	// BatchWait bounds how long the primary holds a partial batch. A batch
+	// that holds a request from every client in the topology is proposed at
+	// once — each client has one request outstanding (§2), so nothing else
+	// can join it — so the wait bounds only batches some client has not
+	// joined.
+	BatchWait          types.Time
 	CheckpointInterval types.SeqNum
 	WindowSize         types.SeqNum // high-watermark distance (must be > CheckpointInterval)
 	RequestTimeout     types.Time   // backup's suspicion timeout triggering view change
@@ -239,6 +244,7 @@ type clientState struct {
 	lastExecuted types.Timestamp
 	pending      *wire.Request // buffered request not yet ordered
 	pendingSince types.Time    // for the backup suspicion timer
+	queued       int           // primary: this client's requests in Replica.queue
 }
 
 // outMsg is one transmission deferred until the current delivery burst's
@@ -278,6 +284,7 @@ type Replica struct {
 	queue      []*wire.Request // primary: requests awaiting proposal
 	queued     map[types.Digest]bool
 	queueBytes int             // sum of queued request-body sizes
+	queuedFrom int             // distinct clients with a request in queue
 	ndClock    types.Timestamp // last nondeterministic timestamp accepted/proposed
 
 	// checkpointing
@@ -312,6 +319,7 @@ type Replica struct {
 	vcDeadline    types.Time
 	vcAttempts    int
 	lastNewView   *wire.NewView
+	earlyPP       map[types.SeqNum]*wire.PrePrepare // new view's pre-prepares that overtook its NEW-VIEW
 	batchDeadline types.Time
 
 	statusDeadline types.Time
@@ -774,6 +782,9 @@ func (r *Replica) enqueue(m *wire.Request, now types.Time) {
 			r.queued[d] = true
 			r.queue = append(r.queue, m)
 			r.queueBytes += len(m.Op)
+			if cs.queued++; cs.queued == 1 {
+				r.queuedFrom++
+			}
 			if r.batchDeadline == 0 {
 				r.batchDeadline = now + r.cfg.BatchWait
 			}
@@ -785,6 +796,41 @@ func (r *Replica) enqueue(m *wire.Request, now types.Time) {
 	// Backup: relay to the primary and let the suspicion timer run; if
 	// the primary never orders it, a view change follows.
 	r.send(r.primaryID(), wire.Marshal(m))
+}
+
+// batchCut says why the primary closed a batch.
+type batchCut int
+
+const (
+	cutNone    batchCut = iota // the batch stays open
+	cutSize                    // BatchSize requests queued
+	cutBytes                   // BatchBytes of bodies queued
+	cutClients                 // every client in the topology has a request queued
+	cutWait                    // BatchWait ran out
+	numCuts
+)
+
+// String is the reason label of the batch-cut counter and span.
+func (c batchCut) String() string {
+	return [numCuts]string{"none", "size", "bytes", "clients", "wait"}[c]
+}
+
+// cutReason reports whether the queue may be proposed now, and why. Under
+// the paper's client model (one outstanding request per client, §2) a
+// queue holding a request from every client cannot grow, so waiting longer
+// would only add idle time to every request in it.
+func (r *Replica) cutReason(now types.Time) batchCut {
+	switch {
+	case len(r.queue) >= r.cfg.BatchSize:
+		return cutSize
+	case r.queueBytes >= r.cfg.BatchBytes:
+		return cutBytes
+	case r.queuedFrom >= len(r.top.Clients):
+		return cutClients
+	case r.batchDeadline != 0 && now >= r.batchDeadline:
+		return cutWait
+	}
+	return cutNone
 }
 
 // maybePropose drains the request queue into pre-prepares while capacity
@@ -801,9 +847,8 @@ func (r *Replica) maybePropose(now types.Time) {
 		if !r.inWindow(next) {
 			return
 		}
-		full := len(r.queue) >= r.cfg.BatchSize || r.queueBytes >= r.cfg.BatchBytes
-		waited := r.batchDeadline != 0 && now >= r.batchDeadline
-		if !full && !waited {
+		reason := r.cutReason(now)
+		if reason == cutNone {
 			return
 		}
 		// Cut the batch at BatchSize requests or BatchBytes of bodies,
@@ -824,22 +869,42 @@ func (r *Replica) maybePropose(now types.Time) {
 		for _, q := range r.queue[:k] {
 			batch = append(batch, *q)
 			delete(r.queued, q.Digest())
+			cs := r.client(q.Client)
+			if cs.queued--; cs.queued == 0 {
+				r.queuedFrom--
+			}
 		}
 		r.queue = append(r.queue[:0], r.queue[k:]...)
 		r.queueBytes -= kbytes
 		r.om.queueDepth.Set(int64(len(r.queue)))
+		r.om.batchCuts[reason].Inc()
+		observeSince(r.om.batchWait, r.batchDeadline-r.cfg.BatchWait, now)
 		if len(r.queue) == 0 {
 			r.batchDeadline = 0
 		} else {
 			r.batchDeadline = now + r.cfg.BatchWait
 		}
 		r.nextSeq = next
-		r.propose(next, batch, now)
+		r.propose(next, batch, reason, now)
 	}
 }
 
-// propose issues the pre-prepare for a batch at sequence n.
-func (r *Replica) propose(n types.SeqNum, batch []wire.Request, now types.Time) {
+// resetQueue empties the primary's request queue (a view change hands the
+// buffered work to the next primary).
+func (r *Replica) resetQueue() {
+	r.queue = nil
+	r.queued = make(map[types.Digest]bool)
+	r.queueBytes = 0
+	r.queuedFrom = 0
+	for _, cs := range r.clients {
+		cs.queued = 0
+	}
+	r.batchDeadline = 0
+	r.om.queueDepth.Set(0)
+}
+
+// propose issues the pre-prepare for a batch at sequence n, cut for reason.
+func (r *Replica) propose(n types.SeqNum, batch []wire.Request, reason batchCut, now types.Time) {
 	// Oblivious nondeterminism (§3.1.4): monotone primary-proposed time
 	// and recomputable pseudo-random bits.
 	t := types.Timestamp(now)
@@ -848,7 +913,7 @@ func (r *Replica) propose(n types.SeqNum, batch []wire.Request, now types.Time) 
 	}
 	nd := types.NonDet{Time: t, Rand: types.ComputeNonDetRand(n, t)}
 	r.om.batchSize.Observe(float64(len(batch)))
-	r.span(now, obs.StageBatchCut, n, fmt.Sprintf("reqs=%d", len(batch)))
+	r.span(now, obs.StageBatchCut, n, fmt.Sprintf("reqs=%d reason=%s", len(batch), reason))
 	pp := &wire.PrePrepare{View: r.view, Seq: n, ND: nd, Requests: batch, Primary: r.cfg.ID}
 	od := pp.OrderDigest()
 	att, err := r.cfg.ReplicaAuth.Attest(auth.KindPrePrepare, od, r.top.Agreement)
@@ -915,6 +980,10 @@ func (r *Replica) validatePrePrepare(m *wire.PrePrepare, now types.Time) (types.
 }
 
 func (r *Replica) onPrePrepare(m *wire.PrePrepare, now types.Time) {
+	if r.inViewChange && m.View == r.view {
+		r.holdEarlyPrePrepare(m)
+		return
+	}
 	od, ok := r.validatePrePrepare(m, now)
 	if !ok {
 		return

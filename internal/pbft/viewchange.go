@@ -32,12 +32,9 @@ func (r *Replica) startViewChange(target types.View, now types.Time) {
 	r.Metrics.ViewChanges++
 	r.om.viewChanges.Inc()
 	r.om.view.Set(int64(target))
-	r.om.queueDepth.Set(0)
 	r.span(now, obs.StageViewChange, 0, "")
-	r.queue = nil
-	r.queued = make(map[types.Digest]bool)
-	r.queueBytes = 0
-	r.batchDeadline = 0
+	r.resetQueue()
+	r.earlyPP = nil
 
 	vc := r.buildViewChange(target)
 	r.sentVC = vc
@@ -500,6 +497,45 @@ func (r *Replica) installNewView(m *wire.NewView, minS, maxS types.SeqNum, now t
 	}
 	r.maybePropose(now)
 	r.executeReady(now)
+
+	// Replay, in sequence order, the new primary's proposals that overtook
+	// this NEW-VIEW; onPrePrepare now validates them as usual.
+	early := r.earlyPP
+	r.earlyPP = nil
+	seqs := make([]types.SeqNum, 0, len(early))
+	for n := range early {
+		seqs = append(seqs, n)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, n := range seqs {
+		r.onPrePrepare(early[n], now)
+	}
+}
+
+// holdEarlyPrePrepare keeps a pre-prepare of the view this replica is still
+// installing. A new primary proposes as soon as it has sent NEW-VIEW — at
+// once when its resubmitted requests close a batch — and that PRE-PREPARE
+// can overtake the NEW-VIEW on another link. Dropped, it would be lost: no
+// one resends it, and the slot would stall until a request timeout started
+// yet another view change. Only attested proposals of the view's primary
+// inside the window are held, the first per sequence number, so the buffer
+// is bounded by WindowSize. installNewView replays them; startViewChange
+// discards them.
+func (r *Replica) holdEarlyPrePrepare(m *wire.PrePrepare) {
+	if m.Primary != r.primaryID() || m.Att.Node != m.Primary || !r.inWindow(m.Seq) {
+		return
+	}
+	if _, held := r.earlyPP[m.Seq]; held {
+		return
+	}
+	// Checked now so a forgery cannot occupy the slot of the real proposal.
+	if r.cfg.ReplicaAuth.Verify(auth.KindPrePrepare, m.OrderDigest(), m.Att) != nil {
+		return
+	}
+	if r.earlyPP == nil {
+		r.earlyPP = make(map[types.SeqNum]*wire.PrePrepare)
+	}
+	r.earlyPP[m.Seq] = m
 }
 
 // tickViewChange retransmits campaign messages and escalates to the next

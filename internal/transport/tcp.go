@@ -332,36 +332,61 @@ func (n *TCPNet) serveConn(raw net.Conn) {
 	conn.SetDeadline(time.Time{})
 	n.stats.handshakes.Add(1)
 
-	hdr := make([]byte, frameHeader)
-	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			return
-		}
-		size := binary.BigEndian.Uint32(hdr[0:4])
-		sender := types.NodeID(int32(binary.BigEndian.Uint32(hdr[4:8])))
-		if sender != from {
-			// One connection speaks for exactly one authenticated identity.
-			n.stats.authRejects.Add(1)
-			n.log("tcp %v: connection authenticated as %v framed a message as %v; closing", n.self, from, sender)
-			return
-		}
-		if size > maxFrameSize {
-			n.log("tcp %v: oversized frame (%d bytes) from %v", n.self, size, from)
-			return
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
-		}
+	err = readFrames(conn, from, func(payload []byte) bool {
 		n.stats.framesReceived.Add(1)
 		n.stats.bytesReceived.Add(uint64(frameHeader + len(payload)))
 		n.mu.Lock()
 		h, closed := n.handler, n.closed
 		n.mu.Unlock()
 		if closed {
-			return
+			return false
 		}
 		h(from, payload)
+		return true
+	})
+	switch {
+	case errors.Is(err, errForeignSender):
+		n.stats.authRejects.Add(1)
+		n.log("tcp %v: %v; closing", n.self, err)
+	case errors.Is(err, errFrameTooLarge):
+		n.log("tcp %v: %v", n.self, err)
+	}
+}
+
+// Why readFrames gave up on a stream that was still readable.
+var (
+	errForeignSender = errors.New("foreign sender")
+	errFrameTooLarge = errors.New("oversized frame")
+)
+
+// readFrames reads [u32 payload length][u32 sender id][payload] frames from
+// r and hands each payload to deliver, until the stream breaks, deliver
+// returns false, or a frame is refused: one whose sender is not from (one
+// connection speaks for exactly one authenticated identity), or one longer
+// than maxFrameSize, refused before its payload is allocated. It returns
+// the read error, nil when deliver stopped it, or an error wrapping
+// errForeignSender or errFrameTooLarge.
+func readFrames(r io.Reader, from types.NodeID, deliver func(payload []byte) bool) error {
+	var hdr [frameHeader]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return err
+		}
+		size := binary.BigEndian.Uint32(hdr[0:4])
+		sender := types.NodeID(int32(binary.BigEndian.Uint32(hdr[4:8])))
+		if sender != from {
+			return fmt.Errorf("connection authenticated as %v framed a message as %v: %w", from, sender, errForeignSender)
+		}
+		if size > maxFrameSize {
+			return fmt.Errorf("%w (%d bytes) from %v", errFrameTooLarge, size, from)
+		}
+		payload := make([]byte, size)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return err
+		}
+		if !deliver(payload) {
+			return nil
+		}
 	}
 }
 
@@ -376,10 +401,10 @@ func writeHello(conn net.Conn, self types.NodeID) error {
 }
 
 // readHello validates the connection preamble and returns the claimed
-// sender identity.
-func readHello(conn net.Conn) (types.NodeID, error) {
+// sender identity. It reads exactly the hello, nothing past it.
+func readHello(r io.Reader) (types.NodeID, error) {
 	var hello [helloSize]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	if _, err := io.ReadFull(r, hello[:]); err != nil {
 		return types.NoNode, fmt.Errorf("reading hello: %w", err)
 	}
 	if m := binary.BigEndian.Uint32(hello[0:4]); m != helloMagic {

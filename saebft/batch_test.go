@@ -69,16 +69,20 @@ func TestClientBatchingSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchingThroughputGain is client batching's acceptance property: 64
+// TestBatchingThroughputGain is client batching's acceptance property: 256
 // concurrent InvokeAsync calls on the simulated transport must complete at
 // least 2x faster in virtual time with 16-op batches than without, and must
-// actually coalesce. (Measured: 2.6x to 5x; 2x leaves room for the
-// goroutine scheduling that batch formation depends on.)
+// actually coalesce. The unbatched handle keeps 8 requests in flight from 8
+// logical clients; the batched one keeps 4 envelopes in flight from 4, so
+// on both sides every agreement batch holds a request from every client
+// and closes without waiting out the batch timer. (Measured over 30 runs:
+// 3.5x to 19x, median 11x; the spread is how many envelopes goroutine
+// scheduling lets form before the first one ships. 2x leaves room for it.)
 func TestBatchingThroughputGain(t *testing.T) {
-	const n = 64
+	const n = 256
 	op := make([]byte, 128)
-	run := func(opts ...Option) (float64, uint64) {
-		c := startSim(t, append(opts, WithApp("null"), WithClients(8), WithInvokeTimeout(2*time.Minute))...)
+	run := func(clients int, opts ...Option) (float64, uint64) {
+		c := startSim(t, append(opts, WithApp("null"), WithClients(clients), WithInvokeTimeout(2*time.Minute))...)
 		defer c.Close()
 		cl := c.Client()
 		// One warm-up round trip settles the view before the measured window.
@@ -91,8 +95,8 @@ func TestBatchingThroughputGain(t *testing.T) {
 		})
 		return rate, cl.ClientStats().Batches - warm
 	}
-	unbatched, _ := run()
-	batched, batches := run(WithClientBatching(16, 0, 100*time.Microsecond))
+	unbatched, _ := run(8)
+	batched, batches := run(4, WithClientBatching(16, 0, 100*time.Microsecond), WithAdaptivePipeline(false))
 	t.Logf("unbatched %.0f ops/s, batched %.0f ops/s (%.1fx, %d batches)",
 		unbatched, batched, batched/unbatched, batches)
 	if batched < 2*unbatched {
@@ -100,6 +104,55 @@ func TestBatchingThroughputGain(t *testing.T) {
 	}
 	if batches == 0 || batches >= n {
 		t.Fatalf("batches = %d for %d ops; coalescing did not happen", batches, n)
+	}
+}
+
+// TestClosedLoopSkipsBatchTimer pins the agreement primary's batch cut: with
+// as many logical clients as outstanding calls, every batch holds a request
+// from every client and is proposed at once, so the mean virtual latency of
+// a closed loop stays below the batch timer instead of paying it per call.
+func TestClosedLoopSkipsBatchTimer(t *testing.T) {
+	const clients, rounds = 8, 16
+	const wait = 20 * time.Millisecond
+	c := startSim(t, WithApp("null"), WithClients(clients), WithBatching(0, wait))
+	cl := c.Client()
+	ctx := context.Background()
+	if _, err := cl.Invoke(ctx, []byte("warm-up")); err != nil {
+		t.Fatal(err)
+	}
+	start, err := c.VirtualTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				if _, err := cl.Invoke(ctx, []byte("op")); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	end, err := c.VirtualTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closed loop: each client runs its calls back to back, so the mean
+	// latency is the elapsed virtual time over the rounds.
+	mean := (end - start) / rounds
+	t.Logf("mean virtual latency %v with a %v batch timer", mean, wait)
+	if mean >= wait {
+		t.Fatalf("mean virtual latency %v, want below the %v batch timer", mean, wait)
 	}
 }
 

@@ -85,7 +85,10 @@ func WithReplyMode(r ReplyMode) Option {
 }
 
 // WithBatching sets the agreement batch size and the maximum wait to fill a
-// batch before ordering it anyway. Zero values keep the defaults.
+// batch before ordering it anyway. A batch that holds a request from every
+// client is ordered at once (each client has one request outstanding, so
+// no other can join it): the wait bounds only batches some client has not
+// joined. Zero values keep the defaults (16 requests, 2ms).
 func WithBatching(size int, wait time.Duration) Option {
 	return func(o *options) { o.batchSize = size; o.batchWait = wait }
 }

@@ -206,18 +206,24 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	var (
 		samples   []float64
 		backlog   []types.Time // intended times not yet submitted
-		inFlight  = map[int]types.Time{}
+		intended  = make([]types.Time, cfg.Clients)
 		freeCls   []int
 		offered   int
 		completed int
 	)
 	for i := 0; i < cfg.Clients; i++ {
 		freeCls = append(freeCls, i)
+		// A completion frees its client within the Step that certified it.
+		c.Clients[i].SetOnResult(func([]byte, types.SeqNum) {
+			samples = append(samples, float64(c.Net.Now()-intended[i])/1e6)
+			freeCls = append(freeCls, i)
+			completed++
+		})
 	}
 	nextOffer := c.Net.Now() + interval
 	start := c.Net.Now()
 
-	submit := func(intended types.Time) bool {
+	submit := func(due types.Time) bool {
 		if len(freeCls) == 0 {
 			return false
 		}
@@ -226,7 +232,7 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		if err := c.Clients[cl].Submit(op, c.Net.Now()); err != nil {
 			return false
 		}
-		inFlight[cl] = intended
+		intended[cl] = due
 		return true
 	}
 
@@ -240,16 +246,6 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		}
 		for len(backlog) > 0 && submit(backlog[0]) {
 			backlog = backlog[1:]
-		}
-		// Harvest completions.
-		for cl, intended := range inFlight {
-			if c.Clients[cl].HasResult() {
-				c.Clients[cl].Result()
-				samples = append(samples, float64(c.Net.Now()-intended)/1e6)
-				delete(inFlight, cl)
-				freeCls = append(freeCls, cl)
-				completed++
-			}
 		}
 		if !c.Net.Step() {
 			break

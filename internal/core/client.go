@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/rand"
 	"fmt"
 
@@ -33,9 +32,6 @@ type Client struct {
 	interval    types.Time
 	initialWait types.Time
 	assembler   *replycert.Assembler
-	result      []byte
-	resultSeq   types.SeqNum
-	haveResult  bool
 	onResult    func(body []byte, seq types.SeqNum)
 
 	// Certified fast reads (nil readVerifier disables the path).
@@ -45,7 +41,6 @@ type Client struct {
 	readAsm      *replycert.ReadAssembler
 	readDeadline types.Time
 	readInterval types.Time
-	readOutcome  *ReadOutcome
 	onReadDone   func(ReadOutcome)
 
 	// Metrics counts externally observable client activity.
@@ -126,8 +121,6 @@ func (c *Client) Submit(op []byte, now types.Time) error {
 	req.Att = att
 	c.outstanding = req
 	c.plainOp = op
-	c.haveResult = false
-	c.result = nil
 	c.interval = c.initialWait
 	c.deadline = now + c.interval
 	c.assembler = replycert.NewAssembler(c.verifier)
@@ -157,42 +150,14 @@ func (c *Client) SetTimestamp(ts types.Timestamp) {
 // a late certificate for it is ignored. The caller may Submit again
 // immediately. Used by timeout/cancellation paths of asynchronous callers;
 // the replicated service may still execute the abandoned operation.
-func (c *Client) Cancel() {
-	c.outstanding = nil
-	c.result = nil
-	c.haveResult = false
-}
+func (c *Client) Cancel() { c.outstanding = nil }
 
-// SetOnResult installs a completion callback: when set, each certified
-// reply body (and the sequence number that certified it — the session
-// watermark a read-your-writes read can demand) is handed to fn (from
-// within Deliver, i.e. on whatever goroutine drives the client) instead of
-// being parked for the HasResult/Result polling pair. Event-driven callers
-// — the public saebft client over TCP — use this to wake a waiter without
-// polling.
+// SetOnResult installs the completion callback, the client's only way of
+// reporting a result: each certified reply body, and the sequence number
+// that certified it (the session watermark a read-your-writes read can
+// demand), is handed to fn from within Deliver, i.e. on whatever goroutine
+// drives the client. A client without one completes requests silently.
 func (c *Client) SetOnResult(fn func(body []byte, seq types.SeqNum)) { c.onResult = fn }
-
-// HasResult reports whether the outstanding request completed.
-func (c *Client) HasResult() bool { return c.haveResult }
-
-// Result returns the reply body once HasResult is true, consuming it.
-func (c *Client) Result() ([]byte, bool) {
-	body, _, ok := c.ResultSeq()
-	return body, ok
-}
-
-// ResultSeq is Result plus the sequence number the reply certified at (the
-// watermark a session adopts for read-your-writes reads).
-func (c *Client) ResultSeq() ([]byte, types.SeqNum, bool) {
-	if !c.haveResult {
-		return nil, 0, false
-	}
-	r, seq := c.result, c.resultSeq
-	c.result = nil
-	c.resultSeq = 0
-	c.haveResult = false
-	return r, seq, true
-}
 
 // Deliver implements transport.Node.
 func (c *Client) Deliver(from types.NodeID, data []byte, now types.Time) {
@@ -268,11 +233,7 @@ func (c *Client) acceptCert(cert *wire.ReplyCert) {
 	c.Metrics.Replies++
 	if c.onResult != nil {
 		c.onResult(body, e.Seq)
-		return
 	}
-	c.result = body
-	c.resultSeq = e.Seq
-	c.haveResult = true
 }
 
 // Tick implements transport.Node: retransmit to all agreement replicas with
@@ -292,6 +253,3 @@ func (c *Client) Tick(now types.Time) {
 	c.interval *= 2
 	c.deadline = now + c.interval
 }
-
-// equalOps reports whether two operation payloads match (test helper).
-func equalOps(a, b []byte) bool { return bytes.Equal(a, b) }

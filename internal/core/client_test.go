@@ -20,8 +20,27 @@ type clientWorld struct {
 		to  types.NodeID
 		msg wire.Message
 	}
-	cl *Client
+	cl  *Client
+	res *reply
 }
+
+// reply records the certified replies a client reports through its result
+// callback.
+type reply struct {
+	bodies [][]byte
+}
+
+func recordReplies(cl *Client) *reply {
+	r := &reply{}
+	cl.SetOnResult(func(body []byte, _ types.SeqNum) { r.bodies = append(r.bodies, body) })
+	return r
+}
+
+// arrived reports whether any reply completed.
+func (r *reply) arrived() bool { return len(r.bodies) > 0 }
+
+// last returns the most recent reply body.
+func (r *reply) last() string { return string(r.bodies[len(r.bodies)-1]) }
 
 func newClientWorld(t *testing.T, mutate func(*Options)) *clientWorld {
 	t.Helper()
@@ -45,6 +64,7 @@ func newClientWorld(t *testing.T, mutate func(*Options)) *clientWorld {
 		t.Fatal(err)
 	}
 	w.cl = cl
+	w.res = recordReplies(cl)
 	return w
 }
 
@@ -117,7 +137,7 @@ func TestClientIgnoresWrongTimestampAndForgedCerts(t *testing.T) {
 	es := []wire.Reply{{Seq: 1, Client: w.b.Top.Clients[0], Timestamp: 1, Body: []byte("forged")}}
 	forged := &wire.ReplyCert{Entries: es, Atts: nil}
 	w.cl.Deliver(0, wire.Marshal(forged), 0)
-	if w.cl.HasResult() {
+	if w.res.arrived() {
 		t.Fatal("client accepted an uncertified reply")
 	}
 	if w.cl.Metrics.BadReplies == 0 {

@@ -39,9 +39,8 @@ type ReadOutcome struct {
 // schedule of agreement traffic; TCP uses the normal sender.
 func (c *Client) SetReadSender(send transport.Sender) { c.readSend = send }
 
-// SetOnReadDone installs a read-completion callback, the read-path analogue
-// of SetOnResult. When set, outcomes are delivered to fn instead of being
-// parked for the ReadDone/TakeReadOutcome polling pair.
+// SetOnReadDone installs the read-completion callback, the read-path
+// analogue of SetOnResult and the only way a read's outcome is reported.
 func (c *Client) SetOnReadDone(fn func(ReadOutcome)) { c.onReadDone = fn }
 
 // SubmitRead issues a certified-read probe for op to every execution
@@ -67,7 +66,6 @@ func (c *Client) SubmitRead(op []byte, floor types.SeqNum, now types.Time) error
 	probe.Att = att
 	c.read = probe
 	c.readAsm = replycert.NewReadAssembler(c.readVerifier, c.id, probe.Nonce, floor)
-	c.readOutcome = nil
 	c.readInterval = c.initialWait
 	c.readDeadline = now + c.readInterval
 	c.Metrics.Reads++
@@ -92,21 +90,6 @@ func (c *Client) sendRead(to types.NodeID, data []byte) {
 func (c *Client) CancelRead() {
 	c.read = nil
 	c.readAsm = nil
-	c.readOutcome = nil
-}
-
-// ReadDone reports whether the outstanding read completed (certified or
-// definitely mismatched).
-func (c *Client) ReadDone() bool { return c.readOutcome != nil }
-
-// TakeReadOutcome returns the completed read's outcome, consuming it.
-func (c *Client) TakeReadOutcome() (ReadOutcome, bool) {
-	if c.readOutcome == nil {
-		return ReadOutcome{}, false
-	}
-	out := *c.readOutcome
-	c.readOutcome = nil
-	return out, true
 }
 
 // onReadReply feeds one executor's answer into the assembler.
@@ -136,9 +119,7 @@ func (c *Client) completeRead(out ReadOutcome) {
 	c.readAsm = nil
 	if c.onReadDone != nil {
 		c.onReadDone(out)
-		return
 	}
-	c.readOutcome = &out
 }
 
 // tickRead retransmits the outstanding probe to every execution replica

@@ -279,33 +279,40 @@ func FirewallWiring(top *types.Topology) func(from, to types.NodeID) bool {
 }
 
 // Invoke submits op from the given client and runs the simulation until the
-// reply certificate arrives or the timeout elapses.
+// reply certificate arrives or the timeout elapses. It holds the client's
+// result callback for the duration of the call.
 func (c *Cluster) Invoke(client int, op []byte, timeout types.Time) ([]byte, error) {
 	cl := c.Clients[client]
+	var body []byte
+	done := false
+	cl.SetOnResult(func(b []byte, _ types.SeqNum) { body, done = b, true })
+	defer cl.SetOnResult(nil)
 	if err := cl.Submit(op, c.Net.Now()); err != nil {
 		return nil, err
 	}
-	if !c.Net.RunUntil(cl.HasResult, c.Net.Now()+timeout) {
+	if !c.Net.RunUntil(func() bool { return done }, c.Net.Now()+timeout) {
 		return nil, fmt.Errorf("core: request timed out after %d ns", timeout)
 	}
-	r, _ := cl.Result()
-	return r, nil
+	return body, nil
 }
 
 // ReadCertified issues a certified-read probe from the given client and runs
 // the simulation until it completes or the timeout elapses. On a quorum
 // mismatch the returned error wraps replycert.ErrReadMismatch and the hint
-// reports the floor to retry at.
+// reports the floor to retry at. It holds the client's read callback for the
+// duration of the call.
 func (c *Cluster) ReadCertified(client int, op []byte, floor types.SeqNum, timeout types.Time) (*replycert.ReadResult, types.SeqNum, error) {
 	cl := c.Clients[client]
+	var out *ReadOutcome
+	cl.SetOnReadDone(func(o ReadOutcome) { out = &o })
+	defer cl.SetOnReadDone(nil)
 	if err := cl.SubmitRead(op, floor, c.Net.Now()); err != nil {
 		return nil, 0, err
 	}
-	if !c.Net.RunUntil(cl.ReadDone, c.Net.Now()+timeout) {
+	if !c.Net.RunUntil(func() bool { return out != nil }, c.Net.Now()+timeout) {
 		cl.CancelRead()
 		return nil, 0, fmt.Errorf("core: read timed out after %d ns", timeout)
 	}
-	out, _ := cl.TakeReadOutcome()
 	return out.Result, out.Hint, out.Err
 }
 

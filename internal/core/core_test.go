@@ -179,19 +179,19 @@ func TestToleratesCrashedExecutor(t *testing.T) {
 	// can form.
 	c.CrashExec(1)
 	cl := c.Clients[0]
+	res := recordReplies(cl)
 	if err := cl.Submit([]byte("inc"), c.Net.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Net.RunUntil(cl.HasResult, c.Net.Now()+types.Time(1e9)) {
+	if c.Net.RunUntil(res.arrived, c.Net.Now()+types.Time(1e9)) {
 		t.Fatal("reply certificate formed with g+1 crashed executors")
 	}
 	// Revive: the pipeline drains and the client completes.
 	c.Net.Revive(c.Top.Execution[1])
-	if !c.Net.RunUntil(cl.HasResult, c.Net.Now()+invokeTimeout) {
+	if !c.Net.RunUntil(res.arrived, c.Net.Now()+invokeTimeout) {
 		t.Fatal("no progress after executor revival")
 	}
-	r, _ := cl.Result()
-	if string(r) != "2" {
+	if r := res.last(); r != "2" {
 		t.Errorf("post-revival result = %q, want 2", r)
 	}
 }
@@ -235,18 +235,19 @@ func TestToleratesCrashedFilter(t *testing.T) {
 	// paper's exact bound — (h+1)² filters tolerate h faults).
 	c.CrashFilter(1, 0)
 	cl := c.Clients[0]
+	res := recordReplies(cl)
 	if err := cl.Submit([]byte("inc"), c.Net.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Net.RunUntil(cl.HasResult, c.Net.Now()+types.Time(1e9)) {
+	if c.Net.RunUntil(res.arrived, c.Net.Now()+types.Time(1e9)) {
 		t.Fatal("progress with h+1 filter faults: the grid bound is not being exercised")
 	}
 	// Reviving one filter restores a correct path.
 	c.Net.Revive(c.Top.Filters[1][0])
-	if !c.Net.RunUntil(cl.HasResult, c.Net.Now()+invokeTimeout) {
+	if !c.Net.RunUntil(res.arrived, c.Net.Now()+invokeTimeout) {
 		t.Fatal("no recovery after filter revival")
 	}
-	if r, _ := cl.Result(); string(r) != "2" {
+	if r := res.last(); r != "2" {
 		t.Errorf("post-revival result = %q, want 2", r)
 	}
 }
@@ -442,12 +443,6 @@ func TestLaggingExecutorStateTransfer(t *testing.T) {
 	}
 	if c.Execs[lagging].Metrics.StateTransfer == 0 {
 		t.Error("no state transfer occurred; test is vacuous")
-	}
-}
-
-func TestEqualOpsHelper(t *testing.T) {
-	if !equalOps([]byte("a"), []byte("a")) || equalOps([]byte("a"), []byte("b")) {
-		t.Error("equalOps misbehaves")
 	}
 }
 

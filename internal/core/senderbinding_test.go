@@ -86,12 +86,12 @@ func TestClientBindsShareToSender(t *testing.T) {
 		t.Fatalf("bad replies = %d, want 1", w.cl.Metrics.BadReplies)
 	}
 	w.cl.Deliver(x, wire.Marshal(share(x)), 0)
-	if w.cl.HasResult() {
+	if w.res.arrived() {
 		t.Fatal("a relayed share counted toward the quorum")
 	}
 	w.cl.Deliver(y, wire.Marshal(share(y)), 0)
-	if body, ok := w.cl.Result(); !ok || string(body) != "1" {
-		t.Fatalf("result = %q, %v", body, ok)
+	if !w.res.arrived() || w.res.last() != "1" {
+		t.Fatalf("results = %q", w.res.bodies)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestClientDropsCertificatesItDoesNotAwait(t *testing.T) {
 	}
 	// The one that claims to answer the outstanding request is verified.
 	w.cl.Deliver(top.Agreement[0], forged(1), 0)
-	if w.cl.Metrics.BadReplies != 1 || w.cl.HasResult() {
-		t.Fatalf("bad replies = %d, has result = %v", w.cl.Metrics.BadReplies, w.cl.HasResult())
+	if w.cl.Metrics.BadReplies != 1 || w.res.arrived() {
+		t.Fatalf("bad replies = %d, has result = %v", w.cl.Metrics.BadReplies, w.res.arrived())
 	}
 }

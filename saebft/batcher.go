@@ -264,8 +264,7 @@ func (b *batcher) cut() []*pendingOp {
 // the certified reply envelope back to the callers. Each op's context keeps
 // its contract: cancellation settles that op with ctx.Err() immediately
 // (the operation may still execute as part of the batch, mirroring the
-// unbatched abandon path), and the earliest deadline in the batch bounds
-// the request timeout.
+// unbatched abandon path); the handle's timeout bounds the request.
 func (b *batcher) dispatch(batch []*pendingOp) {
 	fail := func(err error) {
 		for _, p := range batch {
@@ -302,12 +301,8 @@ func (b *batcher) dispatch(batch []*pendingOp) {
 
 	// Per-op cancellation watchers settle their op without waiting for the
 	// batch; the once-guard in deliver drops the batch's late result.
-	timeout := h.timeout
 	batchDone := make(chan struct{})
 	for _, p := range batch {
-		if t := h.effectiveTimeout(p.ctx); t < timeout {
-			timeout = t
-		}
 		if p.ctx.Done() == nil {
 			continue
 		}
@@ -321,7 +316,7 @@ func (b *batcher) dispatch(batch []*pendingOp) {
 	}
 
 	start := time.Now()
-	res, err := rt.invoke(context.Background(), idx, payload, timeout)
+	res, err := rt.invoke(context.Background(), idx, payload, h.timeout)
 	lat := time.Since(start)
 	close(batchDone)
 

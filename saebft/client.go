@@ -210,21 +210,14 @@ func (h *Client) releaseN(idx, k int) {
 	h.free <- idx
 }
 
-// effectiveTimeout bounds the per-request timeout by the context deadline.
-func (h *Client) effectiveTimeout(ctx context.Context) time.Duration {
-	timeout := h.timeout
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d < timeout {
-			timeout = d
-		}
-	}
-	return timeout
-}
-
 // Invoke submits one operation and blocks until its certified reply, an
 // error, context cancellation, or the handle's timeout. The reply is
 // vouched for by the deployment's reply-certificate scheme (g+1 matching
-// replies or a valid threshold signature) before it is returned.
+// replies or a valid threshold signature) before it is returned. The
+// handle's timeout ends the call with an error wrapping ErrTimeout; the
+// context ending it — a deadline included — returns ctx.Err(). The two
+// are independent: on the simulated transport the timeout runs on the
+// virtual clock and the context deadline on the wall clock.
 func (h *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	res := h.invokeFull(ctx, op)
 	return res.Reply, res.Err
@@ -280,7 +273,7 @@ func (h *Client) invokeSingle(ctx context.Context, rt clusterRuntime, idx int, o
 	if wrapped {
 		op = wire.PackOps([][]byte{op})
 	}
-	res, err := rt.invoke(ctx, idx, op, h.effectiveTimeout(ctx))
+	res, err := rt.invoke(ctx, idx, op, h.timeout)
 	if err != nil || !wrapped {
 		return res.body, res.seq, err
 	}
@@ -301,7 +294,8 @@ func (h *Client) invokeSingle(ctx context.Context, rt clusterRuntime, idx int, o
 // the application cannot answer queries, or the deployment has no read path
 // (ModeBase, ModeFirewall) — the operation transparently falls back to full
 // agreement, so ReadCertified is safe for any operation and never weaker
-// than Invoke.
+// than Invoke. A probe that outlasts its read timeout falls back too; the
+// context ending the call, a deadline included, returns ctx.Err().
 func (h *Client) ReadCertified(ctx context.Context, op []byte) ([]byte, error) {
 	return h.session.ReadCertified(ctx, op)
 }

@@ -367,16 +367,14 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 			rt.close()
 			return nil, err
 		}
-		ep, err := newTCPEndpoint(b, addrs, types.NodeID(id), nil, transport.TCPOptions{
+		if err := rt.startClient(b, addrs, types.NodeID(id), transport.TCPOptions{
 			Security: sec, Obs: reg, ObsNode: strconv.Itoa(id),
-		})
-		if err != nil {
+		}, nil); err != nil {
 			rt.close()
 			return nil, fmt.Errorf("saebft: connecting client %d: %w", id, err)
 		}
-		rt.eps = append(rt.eps, ep)
 	}
-	h := newDialedClient(rt, len(rt.eps), dc.timeout)
+	h := newDialedClient(rt, len(rt.endpoints), dc.timeout)
 	h.reg = reg
 	h.registerClientObs(reg)
 	if dc.batch.enabled {

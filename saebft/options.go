@@ -252,9 +252,10 @@ func WithSeed(seed string) Option { return func(o *options) { o.seed = seed } }
 // the key-material seed.
 func WithNetSeed(seed int64) Option { return func(o *options) { o.netSeed = seed } }
 
-// WithInvokeTimeout sets the default per-request timeout applied when the
-// invoking context has no earlier deadline. On the simulated transport the
-// duration is interpreted in virtual time. Default: 30s.
+// WithInvokeTimeout sets the per-request timeout. On the simulated
+// transport the duration is interpreted in virtual time. A context deadline
+// bounds a call separately (on the wall clock) and does not shorten this
+// timeout. Default: 30s.
 func WithInvokeTimeout(d time.Duration) Option {
 	return func(o *options) { o.invokeTimeout = d }
 }

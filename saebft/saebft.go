@@ -139,8 +139,9 @@ type Info struct {
 	Clients    int // logical clients backing one handle's pipeline
 }
 
-// Stats aggregates externally observable counters. Transport-level fields
-// are populated only on the simulated transport.
+// Stats aggregates externally observable counters. Of the transport-level
+// fields, MessagesDelivered and MessagesDropped are filled only on the
+// simulated transport and Link only on TCP.
 type Stats struct {
 	Requests    uint64 // client requests issued
 	Retransmits uint64 // client retransmissions

@@ -90,7 +90,7 @@ func (s *Session) ReadCertified(ctx context.Context, op []byte) ([]byte, error) 
 
 	floor := s.Watermark()
 	for attempt := 0; attempt < maxReadAttempts; attempt++ {
-		att, err := rt.readCertified(ctx, idx, probeOp, floor, h.readAttemptTimeout(ctx))
+		att, err := rt.readCertified(ctx, idx, probeOp, floor, h.readAttemptTimeout())
 		switch {
 		case errors.Is(err, core.ErrNoReadPath), errors.Is(err, ErrTimeout):
 			// No read path in this deployment, or the probe could not
@@ -145,18 +145,13 @@ func (s *Session) fallback(ctx context.Context, rt clusterRuntime, idx int, op [
 // timeout (WithReadTimeout), defaulting to a fraction of the invoke
 // timeout — a probe is one round trip to the execution replicas, so
 // waiting the full agreement timeout before falling back would forfeit the
-// fast path's latency advantage — and never beyond the context deadline.
-func (h *Client) readAttemptTimeout(ctx context.Context) time.Duration {
+// fast path's latency advantage.
+func (h *Client) readAttemptTimeout() time.Duration {
 	t := h.readTimeout
 	if t == 0 {
 		t = h.timeout / 4
 		if t == 0 {
 			t = time.Second
-		}
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d < t {
-			t = d
 		}
 	}
 	return t

@@ -1,7 +1,6 @@
 package saebft
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,56 +52,36 @@ func (t *simTransport) start(b *core.Builder, o *options) (clusterRuntime, error
 		}
 	}
 	r := &simRuntime{
-		c:       c,
-		submits: make(chan *simCall, 4*len(c.Clients)+16),
-		calls:   make(chan func()),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		c:     c,
+		posts: make(chan func(types.Time), 4*len(c.Clients)+16),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	for i, cl := range c.Clients {
+		ep := newEndpoint(cl, r.quit, &r.active)
+		ep.do = r.post
+		c.Net.Swap(c.Top.Clients[i], ep)
+		r.endpoints = append(r.endpoints, ep)
 	}
 	go r.loop()
 	return r, nil
 }
 
-// simCall is one in-flight invocation or certified-read probe inside the
-// driver.
-type simCall struct {
-	ctx      context.Context
-	idx      int
-	op       []byte
-	read     bool         // certified-read probe instead of an invocation
-	floor    types.SeqNum // read-only: session floor the answer must meet
-	timeout  types.Time
-	deadline types.Time // virtual; set at admission
-	done     chan simDone
-}
-
-// simDone is the driver's completion record for one simCall.
-type simDone struct {
-	res  invokeResult // writes
-	read readAttempt  // reads
-	err  error
-}
-
-// simKey identifies one in-flight call: a logical client holds at most one
-// request and one read concurrently, so (idx, read) is unique.
-type simKey struct {
-	idx  int
-	read bool
-}
-
 // simRuntime drives the simulated cluster from a single goroutine that owns
-// the virtual clock: it admits submissions, steps the network while any
-// request is in flight, and parks when idle. All cluster state — protocol
-// nodes, fault injection, stats — is touched only on that goroutine, which
-// preserves the deterministic single-threaded discipline of the simulator
-// while presenting a concurrent, context-aware API to callers.
+// the virtual clock: it runs posted work (call admission, cancellation,
+// inspection), steps the network while any call is in flight, and parks
+// when idle. All cluster state — protocol nodes, fault injection, stats —
+// is touched only on that goroutine, which preserves the deterministic
+// single-threaded discipline of the simulator while presenting a
+// concurrent, context-aware API to callers.
 type simRuntime struct {
-	c       *core.Cluster
-	submits chan *simCall
-	calls   chan func()
-	quit    chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	endpoints
+	c      *core.Cluster
+	posts  chan func(now types.Time)
+	quit   chan struct{}
+	done   chan struct{}
+	once   sync.Once
+	active int // calls in flight; driver goroutine only
 
 	// holdStepping parks the driver without blocking admission; tests use
 	// it to observe a deterministic number of in-flight requests.
@@ -111,153 +90,50 @@ type simRuntime struct {
 
 func (r *simRuntime) loop() {
 	defer close(r.done)
-	pending := make(map[simKey]*simCall)
-	admit := func(call *simCall) {
-		cl := r.c.Clients[call.idx]
-		var err error
-		if call.read {
-			err = cl.SubmitRead(call.op, call.floor, r.c.Net.Now())
-		} else {
-			err = cl.Submit(call.op, r.c.Net.Now())
-		}
-		if err != nil {
-			call.done <- simDone{err: err}
-			return
-		}
-		call.deadline = r.c.Net.Now() + call.timeout
-		pending[simKey{call.idx, call.read}] = call
-	}
-	cancel := func(call *simCall) {
-		cl := r.c.Clients[call.idx]
-		if call.read {
-			cl.CancelRead()
-		} else {
-			cl.Cancel()
-		}
-	}
 	for {
-		if len(pending) == 0 {
+		// Posted work runs first; this non-blocking drain is the only
+		// per-step cost beside the step itself.
+		select {
+		case <-r.quit:
+			return
+		case fn := <-r.posts:
+			fn(r.c.Net.Now())
+			continue
+		default:
+		}
+		if r.active == 0 {
 			// Idle: park until there is work. The virtual clock does
 			// not advance while nothing is in flight.
 			select {
 			case <-r.quit:
 				return
-			case fn := <-r.calls:
-				fn()
-			case call := <-r.submits:
-				admit(call)
+			case fn := <-r.posts:
+				fn(r.c.Net.Now())
 			}
 			continue
-		}
-		// Busy: drain control work without blocking, then advance the
-		// simulation one event.
-		for draining := true; draining; {
-			select {
-			case <-r.quit:
-				for _, call := range pending {
-					call.done <- simDone{err: ErrClosed}
-				}
-				return
-			case fn := <-r.calls:
-				fn()
-			case call := <-r.submits:
-				admit(call)
-			default:
-				draining = false
-			}
 		}
 		if r.holdStepping.Load() {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
-		stepped := r.c.Net.Step()
-		now := r.c.Net.Now()
-		for key, call := range pending {
-			cl := r.c.Clients[key.idx]
-			switch {
-			case call.ctx.Err() != nil:
-				cancel(call)
-				call.done <- simDone{err: call.ctx.Err()}
-				delete(pending, key)
-			case call.read && cl.ReadDone():
-				out, _ := cl.TakeReadOutcome()
-				call.done <- simDone{read: readAttemptFrom(out)}
-				delete(pending, key)
-			case !call.read && cl.HasResult():
-				body, seq, _ := cl.ResultSeq()
-				call.done <- simDone{res: invokeResult{body: body, seq: uint64(seq)}}
-				delete(pending, key)
-			case now > call.deadline || !stepped:
-				// !stepped means the event queue ran dry, which can
-				// only happen with no live nodes: time would stand
-				// still forever, so fail fast rather than spin.
-				cancel(call)
-				call.done <- simDone{err: fmt.Errorf("%w after %v (virtual)", ErrTimeout, time.Duration(call.timeout))}
-				delete(pending, key)
-			}
-		}
+		r.c.Net.Step()
 	}
 }
 
-func (r *simRuntime) submit(call *simCall) (simDone, error) {
+// post queues fn for the driver goroutine without waiting for it to run;
+// it is the simulator's endpoint do.
+func (r *simRuntime) post(fn func(now types.Time)) {
 	select {
-	case r.submits <- call:
-	case <-call.ctx.Done():
-		return simDone{}, call.ctx.Err()
+	case r.posts <- fn:
 	case <-r.quit:
-		return simDone{}, ErrClosed
 	}
-	// The driver checks ctx on every iteration, so it — not this select —
-	// resolves cancellation; that keeps the logical client leased until
-	// its protocol state is actually quiesced.
-	select {
-	case res := <-call.done:
-		return res, res.err
-	case <-r.done:
-		return simDone{}, ErrClosed
-	}
-}
-
-func (r *simRuntime) invoke(ctx context.Context, idx int, op []byte, timeout time.Duration) (invokeResult, error) {
-	if idx < 0 || idx >= len(r.c.Clients) {
-		return invokeResult{}, fmt.Errorf("saebft: logical client %d out of range", idx)
-	}
-	res, err := r.submit(&simCall{
-		ctx:     ctx,
-		idx:     idx,
-		op:      op,
-		timeout: types.Time(timeout.Nanoseconds()),
-		done:    make(chan simDone, 1),
-	})
-	return res.res, err
-}
-
-func (r *simRuntime) readCertified(ctx context.Context, idx int, op []byte, floor uint64, timeout time.Duration) (readAttempt, error) {
-	if idx < 0 || idx >= len(r.c.Clients) {
-		return readAttempt{}, fmt.Errorf("saebft: logical client %d out of range", idx)
-	}
-	res, err := r.submit(&simCall{
-		ctx:     ctx,
-		idx:     idx,
-		op:      op,
-		read:    true,
-		floor:   types.SeqNum(floor),
-		timeout: types.Time(timeout.Nanoseconds()),
-		done:    make(chan simDone, 1),
-	})
-	return res.read, err
 }
 
 // do runs fn on the driver goroutine, serialized against all protocol
-// activity.
+// activity, and waits for it.
 func (r *simRuntime) do(fn func()) error {
 	ran := make(chan struct{})
-	wrapped := func() { fn(); close(ran) }
-	select {
-	case r.calls <- wrapped:
-	case <-r.done:
-		return ErrClosed
-	}
+	r.post(func(types.Time) { fn(); close(ran) })
 	select {
 	case <-ran:
 		return nil
@@ -269,35 +145,21 @@ func (r *simRuntime) do(fn func()) error {
 func (r *simRuntime) stats() (Stats, error) {
 	var s Stats
 	err := r.do(func() {
-		for _, cl := range r.c.Clients {
-			s.Requests += cl.Metrics.Requests
-			s.Retransmits += cl.Metrics.Retransmits
-			s.Replies += cl.Metrics.Replies
-			s.BadReplies += cl.Metrics.BadReplies
-			s.Reads += cl.Metrics.Reads
-			s.ReadsCertified += cl.Metrics.ReadsCertified
-			s.ReadMismatches += cl.Metrics.ReadMismatches
-			s.BadReadReplies += cl.Metrics.BadReadReplies
+		for _, ep := range r.endpoints {
+			s.addNode(ep)
+		}
+		for _, id := range r.c.Top.Agreement {
+			if an, ok := r.c.Agreement[id]; ok {
+				s.addNode(an)
+			} else {
+				s.addNode(r.c.Engines[id]) // BASE: the engine is the node
+			}
 		}
 		for _, ex := range r.c.Execs {
-			s.ReadsServed += ex.Metrics.ReadsServed
-			s.ReadsRefused += ex.Metrics.ReadsRefused
+			s.addNode(ex)
 		}
 		for _, f := range r.c.Filters {
-			s.SharesRejected += f.Metrics.SharesRejected
-		}
-		for _, q := range r.c.Queues {
-			s.SharesRejected += q.Metrics.SharesRejected
-		}
-		for _, e := range r.c.Engines {
-			if e.StorageErr() != nil {
-				s.StorageFailures++
-			}
-		}
-		for _, ex := range r.c.Execs {
-			if ex.StorageErr() != nil {
-				s.StorageFailures++
-			}
+			s.addNode(f)
 		}
 		s.MessagesDelivered = r.c.Net.Stats.Delivered
 		s.MessagesDropped = r.c.Net.Stats.Dropped
@@ -327,13 +189,9 @@ func (r *simRuntime) kill() {
 	})
 }
 
-// crash marks one node as crashed. kindRole is a types.Role.
+// crash marks one node as crashed.
 func (r *simRuntime) crash(id types.NodeID) error {
 	return r.do(func() { r.c.Net.Crash(id) })
-}
-
-func (r *simRuntime) revive(id types.NodeID) error {
-	return r.do(func() { r.c.Net.Revive(id) })
 }
 
 func (r *simRuntime) tap(fn func(from, to int, payload []byte)) error {

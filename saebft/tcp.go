@@ -1,7 +1,6 @@
 package saebft
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -10,8 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/execnode"
-	"repro/internal/firewall"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -72,12 +69,10 @@ func (t *tcpTransport) start(b *core.Builder, o *options) (clusterRuntime, error
 			r.close()
 			return nil, err
 		}
-		ep, err := newTCPEndpoint(b, addrs, cid, t.cfg.Logf, to)
-		if err != nil {
+		if err := r.startClient(b, addrs, cid, to, t.cfg.Logf); err != nil {
 			r.close()
 			return nil, fmt.Errorf("saebft: starting client endpoint %v: %w", cid, err)
 		}
-		r.eps = append(r.eps, ep)
 	}
 	return r, nil
 }
@@ -131,8 +126,8 @@ func logfOrSilent(logf func(string, ...interface{})) func(string, ...interface{}
 	return func(string, ...interface{}) {}
 }
 
-// runningNode is one live TCP-backed replica: agreement, execution, or
-// filter.
+// runningNode is one live TCP-backed node: an agreement, execution, or
+// filter replica, or a logical client's endpoint.
 type runningNode struct {
 	net     *transport.TCPNet
 	node    transport.Node
@@ -157,7 +152,24 @@ func startNode(b *core.Builder, addrs map[types.NodeID]string, id types.NodeID, 
 	if topts.Obs != nil && topts.ObsNode == "" {
 		topts.ObsNode = strconv.Itoa(int(id))
 	}
+	return serveTCP(id, addrs, topts, func(send transport.Sender) (node transport.Node, err error) {
+		switch role {
+		case types.RoleAgreement:
+			node, _, _, err = b.AgreementNode(id, send)
+		case types.RoleExecution:
+			node, _, err = b.ExecNode(id, send)
+		case types.RoleFilter:
+			node, err = b.FilterNode(id, send)
+		default:
+			err = fmt.Errorf("saebft: identity %v is a client; use Dial", id)
+		}
+		return node, err
+	})
+}
 
+// serveTCP binds identity id's TCP endpoint and drives the node build
+// makes (given the endpoint's sender) from its own runtime goroutine.
+func serveTCP(id types.NodeID, addrs map[types.NodeID]string, topts transport.TCPOptions, build func(transport.Sender) (transport.Node, error)) (*runningNode, error) {
 	// The TCP handler is installed after construction; an atomic
 	// indirection breaks the circular dependency between node and net.
 	// Messages arriving before installation are dropped, which the
@@ -171,18 +183,7 @@ func startNode(b *core.Builder, addrs map[types.NodeID]string, id types.NodeID, 
 	if err != nil {
 		return nil, err
 	}
-
-	var node transport.Node
-	switch role {
-	case types.RoleAgreement:
-		node, _, _, err = b.AgreementNode(id, tcp.Send)
-	case types.RoleExecution:
-		node, _, err = b.ExecNode(id, tcp.Send)
-	case types.RoleFilter:
-		node, err = b.FilterNode(id, tcp.Send)
-	default:
-		err = fmt.Errorf("saebft: identity %v is a client; use Dial", id)
-	}
+	node, err := build(tcp.Send)
 	if err != nil {
 		tcp.Close()
 		return nil, err
@@ -223,228 +224,67 @@ func (n *runningNode) kill() {
 	n.net.Close()
 }
 
-// tcpEndpoint is one logical client over TCP: a protocol-core client driven
-// by its own runtime goroutine, completing invocations through an
-// event-driven result channel (no polling).
-type tcpEndpoint struct {
-	id      types.NodeID
-	cl      *core.Client
-	net     *transport.TCPNet
-	rt      *transport.Runtime
-	results chan invokeResult
-	reads   chan core.ReadOutcome
-}
-
-func newTCPEndpoint(b *core.Builder, addrs map[types.NodeID]string, id types.NodeID, logf func(string, ...interface{}), topts transport.TCPOptions) (*tcpEndpoint, error) {
-	// The runtime's handler is installed after construction; the atomic
-	// indirection keeps early inbound messages (dropped, retransmitted by
-	// peers) from racing the installation.
-	var handler atomic.Pointer[func(from types.NodeID, data []byte)]
-	tcp, err := transport.NewTCPNetOpts(id, addrs, func(from types.NodeID, data []byte) {
-		if h := handler.Load(); h != nil {
-			(*h)(from, data)
-		}
-	}, topts)
-	if err != nil {
-		return nil, err
-	}
-	tcp.SetLogf(logfOrSilent(logf))
-	cl, err := b.ClientNode(id, tcp.Send)
-	if err != nil {
-		tcp.Close()
-		return nil, err
-	}
-	// Identities may be reused by later processes (CLI tools, restarted
-	// embedders); wall-clock timestamps keep this incarnation's requests
-	// above any predecessor's in the executors' exactly-once reply table.
-	cl.SetTimestamp(types.Timestamp(time.Now().UnixNano()))
-	ep := &tcpEndpoint{
-		id:      id,
-		cl:      cl,
-		net:     tcp,
-		results: make(chan invokeResult, 1),
-		reads:   make(chan core.ReadOutcome, 1),
-	}
-	// The hooks fire on the runtime goroutine; capacity 1 suffices because
-	// each logical client has at most one request and one read outstanding.
-	cl.SetOnResult(func(body []byte, seq types.SeqNum) {
-		select {
-		case ep.results <- invokeResult{body: body, seq: uint64(seq)}:
-		default:
-		}
-	})
-	cl.SetOnReadDone(func(out core.ReadOutcome) {
-		select {
-		case ep.reads <- out:
-		default:
-		}
-	})
-	rt, h := transport.NewRuntime(cl, tcp.Now, time.Millisecond)
-	handler.Store(&h)
-	ep.rt = rt
-	return ep, nil
-}
-
-func (ep *tcpEndpoint) close() {
-	ep.rt.Close()
-	ep.net.Close()
-}
-
-// tcpRuntime serves invocations over a set of TCP client endpoints. When it
-// also owns server nodes (in-process TCP cluster) it tears them down on
-// close; for dialed handles against an external deployment, nodes is nil.
+// tcpRuntime serves calls through logical clients that each run as their
+// own TCP node. When it also owns server nodes (in-process TCP cluster) it
+// tears them down on close; a dialed handle against an external deployment
+// runs only its clients.
 type tcpRuntime struct {
-	nodes []*runningNode
-	eps   []*tcpEndpoint
+	endpoints
+	nodes []*runningNode // replicas, then client endpoints
 	quit  chan struct{}
 	once  sync.Once
 }
 
-func (r *tcpRuntime) invoke(ctx context.Context, idx int, op []byte, timeout time.Duration) (invokeResult, error) {
-	if idx < 0 || idx >= len(r.eps) {
-		return invokeResult{}, fmt.Errorf("saebft: logical client %d out of range", idx)
-	}
-	ep := r.eps[idx]
-	select {
-	case <-ep.results: // clear any stale result from an abandoned request
-	default:
-	}
-	var submitErr error
-	ep.rt.Do(func(now types.Time) { submitErr = ep.cl.Submit(op, now) })
-	if submitErr != nil {
-		return invokeResult{}, submitErr
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	abandon := func() {
-		ep.rt.Do(func(types.Time) { ep.cl.Cancel() })
-		select {
-		case <-ep.results: // a result may have raced the cancellation
-		default:
+// startClient runs logical client id over TCP as the runtime's next
+// endpoint.
+func (r *tcpRuntime) startClient(b *core.Builder, addrs map[types.NodeID]string, id types.NodeID, topts transport.TCPOptions, logf func(string, ...interface{})) error {
+	var ep *endpoint
+	n, err := serveTCP(id, addrs, topts, func(send transport.Sender) (transport.Node, error) {
+		cl, err := b.ClientNode(id, send)
+		if err != nil {
+			return nil, err
 		}
+		// Identities may be reused by later processes (CLI tools,
+		// restarted embedders); wall-clock timestamps keep this
+		// incarnation's requests above any predecessor's in the
+		// executors' exactly-once reply table.
+		cl.SetTimestamp(types.Timestamp(time.Now().UnixNano()))
+		ep = newEndpoint(cl, r.quit, new(int))
+		return ep, nil
+	})
+	if err != nil {
+		return err
 	}
-	select {
-	case res := <-ep.results:
-		return res, nil
-	case <-ctx.Done():
-		abandon()
-		return invokeResult{}, ctx.Err()
-	case <-timer.C:
-		abandon()
-		return invokeResult{}, fmt.Errorf("%w after %v", ErrTimeout, timeout)
-	case <-r.quit:
-		return invokeResult{}, ErrClosed
-	}
+	n.net.SetLogf(logfOrSilent(logf))
+	ep.do = n.runtime.Do
+	r.nodes = append(r.nodes, n)
+	r.endpoints = append(r.endpoints, ep)
+	return nil
 }
 
-func (r *tcpRuntime) readCertified(ctx context.Context, idx int, op []byte, floor uint64, timeout time.Duration) (readAttempt, error) {
-	if idx < 0 || idx >= len(r.eps) {
-		return readAttempt{}, fmt.Errorf("saebft: logical client %d out of range", idx)
-	}
-	ep := r.eps[idx]
-	select {
-	case <-ep.reads: // clear any stale outcome from an abandoned read
-	default:
-	}
-	var submitErr error
-	ep.rt.Do(func(now types.Time) { submitErr = ep.cl.SubmitRead(op, types.SeqNum(floor), now) })
-	if submitErr != nil {
-		return readAttempt{}, submitErr
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	abandon := func() {
-		ep.rt.Do(func(types.Time) { ep.cl.CancelRead() })
-		select {
-		case <-ep.reads: // an outcome may have raced the cancellation
-		default:
-		}
-	}
-	select {
-	case out := <-ep.reads:
-		return readAttemptFrom(out), nil
-	case <-ctx.Done():
-		abandon()
-		return readAttempt{}, ctx.Err()
-	case <-timer.C:
-		abandon()
-		return readAttempt{}, fmt.Errorf("%w after %v", ErrTimeout, timeout)
-	case <-r.quit:
-		return readAttempt{}, ErrClosed
-	}
-}
-
+// stats folds every node's protocol counters (on its runtime goroutine)
+// and link counters. Both public stats surfaces — Client.Stats on a dialed
+// handle and Cluster.Stats on an owned cluster — come through here; a
+// dialed handle runs no replicas and reports zero for their counters.
 func (r *tcpRuntime) stats() (Stats, error) {
 	var s Stats
-	for _, ep := range r.eps {
-		select {
-		case <-r.quit:
-			return Stats{}, ErrClosed
-		default:
-		}
-		ep.rt.Do(func(types.Time) {
-			s.Requests += ep.cl.Metrics.Requests
-			s.Retransmits += ep.cl.Metrics.Retransmits
-			s.Replies += ep.cl.Metrics.Replies
-			s.BadReplies += ep.cl.Metrics.BadReplies
-			s.Reads += ep.cl.Metrics.Reads
-			s.ReadsCertified += ep.cl.Metrics.ReadsCertified
-			s.ReadMismatches += ep.cl.Metrics.ReadMismatches
-			s.BadReadReplies += ep.cl.Metrics.BadReadReplies
-		})
-	}
-	// Node-hosted metrics live inside this process's nodes (in-process TCP
-	// cluster); a dialed handle has no nodes and reports zero for them.
 	for _, n := range r.nodes {
 		select {
 		case <-r.quit:
 			return Stats{}, ErrClosed
 		default:
 		}
-		n.inspect(func(node transport.Node) {
-			if f, ok := node.(*firewall.Filter); ok {
-				s.SharesRejected += f.Metrics.SharesRejected
-			}
-			if an, ok := node.(*core.AgreementNode); ok {
-				s.SharesRejected += an.Queue.Metrics.SharesRejected
-			}
-			if ex, ok := node.(*execnode.Replica); ok {
-				s.ReadsServed += ex.Metrics.ReadsServed
-				s.ReadsRefused += ex.Metrics.ReadsRefused
-			}
-			if se, ok := node.(interface{ StorageErr() error }); ok && se.StorageErr() != nil {
-				s.StorageFailures++
-			}
-		})
+		n.inspect(s.addNode)
+		s.Link.add(n.net.Stats())
 	}
-	s.Link = r.linkSnapshot()
 	return s, nil
-}
-
-// linkSnapshot folds every endpoint's and node's transport counters into
-// one LinkStats. Both public stats surfaces — Client.Stats on a dialed
-// handle and Cluster.Stats on an owned cluster — reach the link counters
-// only through here, so the two can never drift by accumulating different
-// snapshot sets per call site.
-func (r *tcpRuntime) linkSnapshot() LinkStats {
-	var link LinkStats
-	for _, n := range r.nodes {
-		link.add(n.net.Stats())
-	}
-	for _, ep := range r.eps {
-		link.add(ep.net.Stats())
-	}
-	return link
 }
 
 func (r *tcpRuntime) close() error {
 	r.once.Do(func() {
 		close(r.quit)
-		for _, ep := range r.eps {
-			ep.close()
-		}
 		for _, n := range r.nodes {
-			n.close() // graceful: flushes each node's durable store
+			n.close() // graceful: flushes each replica's durable store
 		}
 	})
 	return nil
@@ -455,9 +295,6 @@ func (r *tcpRuntime) close() error {
 func (r *tcpRuntime) kill() {
 	r.once.Do(func() {
 		close(r.quit)
-		for _, ep := range r.eps {
-			ep.close()
-		}
 		for _, n := range r.nodes {
 			n.kill()
 		}

@@ -4,7 +4,9 @@
 #
 #   1. every -flag on a line invoking a saebft-* binary, and every
 #      backticked `-flag`, must be declared by some cmd/ tool;
-#   2. every `saebft.X` identifier must exist in the saebft package;
+#   2. every `saebft.X` identifier must exist in the saebft package, and
+#      every backticked option constructor (`WithX(`, `DialX(`, `NodeX(`)
+#      must be a func the saebft package declares;
 #   3. every backticked `Type.Method` reference must exist in the source.
 #
 # Deliberately simple (grep, no Go parsing): it catches renames and
@@ -40,6 +42,13 @@ for id in $idents; do
 		fail=1
 	fi
 done
+options=$(grep -hoE '`(With|Dial|Node)[A-Z][A-Za-z]*\(' "${docs[@]}" | tr -d '`(' | sort -u)
+for o in $options; do
+	if ! grep -qrE --include='*.go' --exclude='*_test.go' "^func $o\(" saebft/; then
+		echo "docs-lint: option $o( is referenced in the docs but the saebft package declares no such func"
+		fail=1
+	fi
+done
 
 # --- 3. backticked Type.Method references ----------------------------------
 methods=$(grep -hoE '`[A-Z][A-Za-z]*\.[A-Z][A-Za-z]*(\(\)|\(\.\.\.\))?`' "${docs[@]}" |
@@ -56,4 +65,4 @@ if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
 nflags=$(wc -w <<<"$invocation_flags $backtick_flags")
-echo "docs-lint: OK ($nflags flag refs, $(wc -w <<<"$idents") saebft identifiers, $(wc -w <<<"$methods") method refs checked)"
+echo "docs-lint: OK ($nflags flag refs, $(wc -w <<<"$idents") saebft identifiers, $(wc -w <<<"$options") options, $(wc -w <<<"$methods") method refs checked)"

@@ -35,7 +35,6 @@ func main() {
 		keyFile       = flag.String("key", "", "this node's private key (PEM); default: <tls.certDir>/node-<id>-key.pem from the config")
 		statsEvery    = flag.Duration("stats-every", 0, "log a metrics heartbeat (protocol, storage, and link series from the node's registry) at this interval (0 = off); see docs/DEPLOYMENT.md troubleshooting")
 		metricsAddr   = flag.String("metrics-addr", "", "serve the ops HTTP endpoint on this address: Prometheus text on /metrics, the trace ring on /debug/trace, pprof under /debug/pprof/ (empty = off); bind it operator-side, not publicly")
-		verifyWorkers = flag.Int("verify-workers", 0, "fan batch certificate checks (client requests, order/commit certificates) out over this many workers; 0 or 1 verifies inline. Per-process tuning — nodes need not agree. The agreement-vote crypto mode itself lives in the shared config (crypto: \"mac\" or \"ed25519\")")
 	)
 	flag.Parse()
 	if *id < 0 {
@@ -62,9 +61,6 @@ func main() {
 	nodeOpts = append(nodeOpts, tlsOpts...)
 	if *metricsAddr != "" {
 		nodeOpts = append(nodeOpts, saebft.NodeMetricsAddr(*metricsAddr))
-	}
-	if *verifyWorkers > 1 {
-		nodeOpts = append(nodeOpts, saebft.NodeVerifyWorkers(*verifyWorkers))
 	}
 	node, err := saebft.NewNode(cfg, *id, nodeOpts...)
 	if err != nil {

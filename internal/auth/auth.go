@@ -369,6 +369,18 @@ func (q *Quorum) Attestations() []Attestation {
 // CountDistinct reports how many distinct valid attestations over
 // (kind, digest) appear in atts, verifying each with the scheme and
 // requiring membership in the allowed set when allowed is non-nil.
+// Only the first attestation from each node is considered, valid or not.
 func CountDistinct(s Scheme, kind Kind, digest types.Digest, atts []Attestation, allowed map[types.NodeID]bool) int {
-	return CountDistinctPar(nil, s, kind, digest, atts, allowed)
+	seen := make(map[types.NodeID]bool, len(atts))
+	count := 0
+	for _, a := range atts {
+		if seen[a.Node] || (allowed != nil && !allowed[a.Node]) {
+			continue
+		}
+		seen[a.Node] = true
+		if s.Verify(kind, digest, a) == nil {
+			count++
+		}
+	}
+	return count
 }

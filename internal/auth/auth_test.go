@@ -173,21 +173,59 @@ func TestQuorum(t *testing.T) {
 }
 
 func TestCountDistinct(t *testing.T) {
-	s := sigSchemes(t, 1, 2, 3, 4)
+	sig := sigSchemes(t, 1, 2, 3, 4)
 	d := types.DigestBytes([]byte("cert"))
-	var atts []Attestation
-	for _, id := range []types.NodeID{1, 2, 3, 1} { // 1 appears twice
-		a, _ := s[id].Attest(KindCommit, d, nil)
-		atts = append(atts, a)
+	signed := func(from types.NodeID) Attestation {
+		a, err := sig[from].Attest(KindCommit, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	// One bogus attestation.
-	atts = append(atts, Attestation{Node: 4, Proof: []byte("junk")})
-	if got := CountDistinct(s[1], KindCommit, d, atts, nil); got != 3 {
-		t.Errorf("CountDistinct = %d, want 3", got)
+	atts := []Attestation{
+		signed(1), signed(2), signed(3), signed(1), // 1 appears twice
+		{Node: 4, Proof: []byte("junk")},
 	}
-	allowed := map[types.NodeID]bool{1: true, 2: true}
-	if got := CountDistinct(s[1], KindCommit, d, atts, allowed); got != 2 {
-		t.Errorf("CountDistinct with allowed set = %d, want 2", got)
+	if got := CountDistinct(sig[1], KindCommit, d, atts, nil); got != 3 {
+		t.Errorf("duplicate node and bogus proof: CountDistinct = %d, want 3", got)
+	}
+	if got := CountDistinct(sig[1], KindCommit, d, atts, map[types.NodeID]bool{1: true, 2: true}); got != 2 {
+		t.Errorf("allowed set: CountDistinct = %d, want 2", got)
+	}
+}
+
+// CountDistinct over MAC vectors: the first attestation from a node is the
+// one that counts, valid or forged, and non-members are skipped.
+func TestCountDistinctMACMix(t *testing.T) {
+	s := macSchemes(t, 1, 2, 3, 4, 5)
+	d := types.DigestBytes([]byte("count"))
+	attest := func(from types.NodeID) Attestation {
+		att, err := s[from].Attest(KindCommit, d, []types.NodeID{1, 2, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return att
+	}
+	forged := attest(3)
+	forged.Proof = append([]byte(nil), forged.Proof...)
+	for i := range forged.Proof { // breaks every receiver's slot
+		forged.Proof[i] ^= 1
+	}
+	atts := []Attestation{
+		attest(2), attest(2), // duplicate node
+		attest(3), forged, // forged after a valid one from the same node
+		attest(4),
+		attest(5), // not in the allowed set below
+	}
+	allowed := map[types.NodeID]bool{2: true, 3: true, 4: true}
+	if got := CountDistinct(s[1], KindCommit, d, atts, allowed); got != 3 {
+		t.Errorf("allowed set: count = %d, want 3", got)
+	}
+	if got := CountDistinct(s[1], KindCommit, d, atts, nil); got != 4 {
+		t.Errorf("nil allowed set: count = %d, want 4", got)
+	}
+	if got := CountDistinct(s[1], KindCommit, d, []Attestation{forged, attest(3)}, nil); got != 0 {
+		t.Errorf("forged before valid from the same node: count = %d, want 0", got)
 	}
 }
 

@@ -91,12 +91,6 @@ func (b *Builder) transferAuth(id types.NodeID) auth.TransferScheme {
 	return auth.InstrumentTransfer(b.Mat.SigScheme(id), b.Opts.Obs, "ed25519", id)
 }
 
-// verifyPool builds the node's bounded verification worker pool (nil — i.e.
-// inline verification — unless VerifyWorkers >= 2).
-func (b *Builder) verifyPool() *auth.VerifyPool {
-	return auth.NewVerifyPool(b.Opts.VerifyWorkers)
-}
-
 // nodeStore opens (or builds via the injected factory) the durable store
 // for one node identity; (nil, nil) when persistence is not configured.
 func (b *Builder) nodeStore(id types.NodeID) (storage.Store, error) {
@@ -137,7 +131,6 @@ func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transpo
 		ReplicaAuth:        b.replicaAuth(id),
 		TransferAuth:       b.transferAuth(id),
 		ClientAuth:         b.clientAuth(id),
-		Verify:             b.verifyPool(),
 		BatchSize:          b.Opts.BatchSize,
 		BatchBytes:         b.Opts.BatchBytes,
 		BatchWait:          b.Opts.BatchWait,
@@ -234,7 +227,6 @@ func (b *Builder) ExecNode(id types.NodeID, send transport.Sender) (*execnode.Re
 		ReplyAuth:            b.replyAuth(id),
 		ExecAuth:             b.Mat.SigScheme(id),
 		ClientAuth:           b.clientAuth(id),
-		Verify:               b.verifyPool(),
 		ReplyMode:            b.Opts.ReplyMode,
 		ThresholdShare:       b.Mat.ThresholdShare(id),
 		ShareRand:            threshold.NewSeededReader(fmt.Sprintf("%s-share-%d", b.Opts.Seed, id)),

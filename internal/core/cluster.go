@@ -38,12 +38,6 @@ type Options struct {
 	// forbids MAC vectors there.
 	MACAgreement bool
 
-	// VerifyWorkers sizes the bounded pool that batch attestation checks
-	// (client request certificates, order/commit certificates) fan out
-	// over. 0 or 1 verifies inline; the pool always joins before protocol
-	// state advances, so parallelism never perturbs determinism.
-	VerifyWorkers int
-
 	// DirectReply lets executors send reply shares straight to clients
 	// (§3.1.3 optimization; ignored — forced off — behind the firewall).
 	DirectReply bool

@@ -48,10 +48,6 @@ type Config struct {
 	// ExecAuth signs checkpoint attestations (must be a signature scheme:
 	// stability proofs are shown to peers and filters).
 	ExecAuth auth.Scheme
-	// Verify, when non-nil, fans order-certificate attestation checks out
-	// across a bounded worker pool that joins before the handler proceeds.
-	// Nil verifies inline.
-	Verify *auth.VerifyPool
 
 	// ReplyMode selects quorum (MAC/signature) or threshold certificates.
 	ReplyMode replycert.Mode
@@ -357,7 +353,7 @@ func (r *Replica) onOrderProof(m *wire.OrderProof, now types.Time) {
 	for _, id := range r.top.Agreement {
 		allowed[id] = true
 	}
-	if auth.CountDistinctPar(r.cfg.Verify, r.cfg.OrderAuth, auth.KindOrder, od, m.Atts, allowed) < 2*r.f+1 {
+	if auth.CountDistinct(r.cfg.OrderAuth, auth.KindOrder, od, m.Atts, allowed) < 2*r.f+1 {
 		return
 	}
 	acc := r.pending[m.Seq]
@@ -858,7 +854,7 @@ func (r *Replica) onStableProof(m *wire.StableProof, now types.Time) {
 		allowed[id] = true
 	}
 	cd := wire.CheckpointDigest(m.Seq, m.State)
-	if auth.CountDistinctPar(r.cfg.Verify, r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, m.Atts, allowed) < r.g+1 {
+	if auth.CountDistinct(r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, m.Atts, allowed) < r.g+1 {
 		return
 	}
 	// Adopt the proof and fetch the payload.
@@ -949,7 +945,7 @@ func (r *Replica) Recover(now types.Time) error {
 			continue
 		}
 		cd := wire.CheckpointDigest(ck.Seq, ck.Digest)
-		if auth.CountDistinctPar(r.cfg.Verify, r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, sp.Atts, allowed) < r.g+1 {
+		if auth.CountDistinct(r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, sp.Atts, allowed) < r.g+1 {
 			continue
 		}
 		if err := r.restoreCheckpoint(ck.Payload); err != nil {

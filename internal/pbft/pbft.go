@@ -79,11 +79,6 @@ type Config struct {
 	TransferAuth auth.TransferScheme
 	// ClientAuth verifies client request certificates (MAC or signature).
 	ClientAuth auth.Scheme
-	// Verify, when non-nil, fans batch attestation checks (client request
-	// certificates in pre-prepares, commit-proof vote sets) out across a
-	// bounded worker pool. Results join before any handler proceeds, so
-	// protocol state stays a pure function of inputs. Nil verifies inline.
-	Verify *auth.VerifyPool
 
 	BatchSize  int // max requests per batch (paper's bundle size)
 	BatchBytes int // max request-body bytes per batch (multi-op requests can be large)
@@ -960,21 +955,18 @@ func (r *Replica) validatePrePrepare(m *wire.PrePrepare, now types.Time) (types.
 		}
 	}
 	// Request certificates must be valid: the agreement cluster only
-	// orders authentic client requests (§3.4 safety (a)). Role checks stay
-	// inline; the certificate checks — the expensive part of a full batch —
-	// fan out across the verify pool and join before the verdict, so the
-	// handler remains a pure function of its inputs.
+	// orders authentic client requests (§3.4 safety (a)). Every role is
+	// checked before the first, costlier, certificate check.
 	for i := range m.Requests {
 		if role, _, ok := r.top.RoleOf(m.Requests[i].Client); !ok || role != types.RoleClient {
 			return types.ZeroDigest, false
 		}
 	}
-	err := r.cfg.Verify.Run(len(m.Requests), func(i int) error {
+	for i := range m.Requests {
 		req := &m.Requests[i]
-		return r.cfg.ClientAuth.Verify(auth.KindRequest, req.Digest(), req.Att)
-	})
-	if err != nil {
-		return types.ZeroDigest, false
+		if r.cfg.ClientAuth.Verify(auth.KindRequest, req.Digest(), req.Att) != nil {
+			return types.ZeroDigest, false
+		}
 	}
 	return od, true
 }
@@ -1570,7 +1562,7 @@ func (r *Replica) onCommitProof(m *wire.CommitProof, now types.Time) {
 	for _, id := range r.top.Agreement {
 		allowed[id] = true
 	}
-	if auth.CountDistinctPar(r.cfg.Verify, r.certAuth, auth.KindCommit, od, m.Commits, allowed) < 2*r.f+1 {
+	if auth.CountDistinct(r.certAuth, auth.KindCommit, od, m.Commits, allowed) < 2*r.f+1 {
 		return
 	}
 	in := r.inst(m.PP.View, n)
@@ -1640,7 +1632,7 @@ func (r *Replica) Recover(now types.Time) error {
 			}
 		}
 		cd := wire.CheckpointDigest(ck.Seq, ck.Digest)
-		if auth.CountDistinctPar(r.cfg.Verify, r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
+		if auth.CountDistinct(r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
 			continue
 		}
 		dedup, appPayload, err := r.unwrapCheckpoint(ck.Payload)

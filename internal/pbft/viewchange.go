@@ -120,7 +120,7 @@ func (r *Replica) validateViewChange(m *wire.ViewChange) bool {
 			}
 			atts = append(atts, c.Att)
 		}
-		if auth.CountDistinctPar(r.cfg.Verify, r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
+		if auth.CountDistinct(r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
 			return false
 		}
 	}
@@ -157,7 +157,7 @@ func (r *Replica) verifyPreparedEvidence(e *wire.PreparedEntry) bool {
 			backups[id] = true
 		}
 	}
-	if auth.CountDistinctPar(r.cfg.Verify, r.certAuth, auth.KindPrepare, od, e.Prepares, backups) < 2*r.f {
+	if auth.CountDistinct(r.certAuth, auth.KindPrepare, od, e.Prepares, backups) < 2*r.f {
 		return false
 	}
 	// The nondeterminism must be the canonical function of (seq, time);

@@ -10,8 +10,8 @@ import (
 	"repro/internal/wire"
 )
 
-// ClientBatchingDefaults are applied when WithClientBatching /
-// DialBatching receive zero values.
+// ClientBatchingDefaults are applied when WithClientBatching receives zero
+// values.
 const (
 	DefaultBatchMaxOps   = 16
 	DefaultBatchMaxBytes = 1 << 20
@@ -83,6 +83,7 @@ type batcher struct {
 }
 
 func newBatcher(h *Client, cfg clientBatching) *batcher {
+	cfg.fillDefaults()
 	b := &batcher{
 		h:        h,
 		maxOps:   cfg.maxOps,

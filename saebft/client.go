@@ -20,26 +20,26 @@ import (
 // invocations proceed concurrently and further calls queue for the next free
 // slot.
 //
-// With client-side batching enabled (WithClientBatching / DialBatching),
-// operations are instead coalesced into multi-op requests: concurrent
+// A cluster's handle with client-side batching enabled (WithClientBatching)
+// instead coalesces operations into multi-op requests: concurrent
 // Invoke/InvokeAsync calls share logical clients, one agreement slot
 // amortizes over a whole envelope of operations, and an adaptive
 // controller widens or narrows the number of concurrently dispatched
-// batches based on observed completion latency.
+// batches based on observed completion latency. Dialed handles do not
+// batch.
 //
 // A handle is safe for concurrent use by any number of goroutines.
 type Client struct {
 	cluster *Cluster       // non-nil when owned by an in-process Cluster
 	rt      clusterRuntime // non-nil when dialed against a deployment
 
-	free        chan int
-	width       int
-	timeout     time.Duration
-	readTimeout time.Duration // per read attempt; zero falls back to timeout
-	quit        chan struct{} // closed on terminal shutdown
-	bat         *batcher      // non-nil when client-side batching is enabled
-	session     *Session      // the handle's implicit session
-	reg         *obs.Registry // backing registry for Metrics (may be nil)
+	free    chan int
+	width   int
+	timeout time.Duration
+	quit    chan struct{} // closed on terminal shutdown
+	bat     *batcher      // non-nil when client-side batching is enabled
+	session *Session      // the handle's implicit session
+	reg     *obs.Registry // backing registry for Metrics (may be nil)
 
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
@@ -55,13 +55,12 @@ type Client struct {
 	closed    atomic.Bool
 }
 
-func newHandle(width int, timeout, readTimeout time.Duration) *Client {
+func newHandle(width int, timeout time.Duration) *Client {
 	h := &Client{
-		free:        make(chan int, width),
-		width:       width,
-		timeout:     timeout,
-		readTimeout: readTimeout,
-		quit:        make(chan struct{}),
+		free:    make(chan int, width),
+		width:   width,
+		timeout: timeout,
+		quit:    make(chan struct{}),
 	}
 	h.session = &Session{h: h}
 	for i := 0; i < width; i++ {
@@ -70,26 +69,18 @@ func newHandle(width int, timeout, readTimeout time.Duration) *Client {
 	return h
 }
 
-func newClusterClient(c *Cluster, width int, timeout, readTimeout time.Duration) *Client {
-	h := newHandle(width, timeout, readTimeout)
+func newClusterClient(c *Cluster, width int, timeout time.Duration) *Client {
+	h := newHandle(width, timeout)
 	h.cluster = c
 	h.reg = c.o.obsReg
 	return h
 }
 
-// newDialedClient builds a handle over an external deployment. Its read
-// probes take the default timeout, a quarter of timeout.
+// newDialedClient builds a handle over an external deployment.
 func newDialedClient(rt clusterRuntime, width int, timeout time.Duration) *Client {
-	h := newHandle(width, timeout, 0)
+	h := newHandle(width, timeout)
 	h.rt = rt
 	return h
-}
-
-// startBatching attaches a coalescing batcher; called once at construction,
-// before the handle is visible to any other goroutine.
-func (h *Client) startBatching(cfg clientBatching) {
-	cfg.fillDefaults()
-	h.bat = newBatcher(h, cfg)
 }
 
 // runtime resolves the live backend for this handle.

@@ -55,10 +55,10 @@ func NewCluster(optfns ...Option) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{o: o, builder: b}
-	c.handle = newClusterClient(c, o.clients, o.invokeTimeout, o.readTimeout)
+	c.handle = newClusterClient(c, o.clients, o.invokeTimeout)
 	c.handle.registerClientObs(o.obsReg)
 	if o.clientBatch.enabled {
-		c.handle.startBatching(o.clientBatch)
+		c.handle.bat = newBatcher(c.handle, o.clientBatch)
 	}
 	return c, nil
 }

@@ -26,7 +26,7 @@ type Node struct {
 	tls         linkTLS
 	metricsAddr string
 	// opts is the config's lowering plus this process's own settings
-	// (storage, verify workers, observability), which the Node* options
+	// (storage, observability), which the Node* options
 	// write straight into it.
 	opts core.Options
 
@@ -72,16 +72,6 @@ func NodeTLS(caFile, certFile, keyFile string) NodeOption {
 // Loopback debugging only: a plaintext node cannot talk to TLS peers.
 func NodeInsecure() NodeOption {
 	return func(n *Node) { n.tls.insecure = true }
-}
-
-// NodeVerifyWorkers sizes this process's bounded certificate-verification
-// pool, the deployment-side analogue of CryptoConfig.VerifyWorkers: batch
-// certificate checks (client requests in a pre-prepare, order and commit
-// certificates) fan out across n workers and join before any protocol state
-// advances. Per-process tuning, not protocol surface — peers need not
-// agree. 0 or 1 verifies inline.
-func NodeVerifyWorkers(n int) NodeOption {
-	return func(nd *Node) { nd.opts.VerifyWorkers = n }
 }
 
 // NodeMetricsAddr serves the node's ops HTTP endpoint on addr once Start
@@ -267,7 +257,6 @@ type DialOption func(*dialConfig)
 type dialConfig struct {
 	ids     []int
 	timeout time.Duration
-	batch   clientBatching
 	tls     linkTLS
 }
 
@@ -280,17 +269,6 @@ func DialClients(ids ...int) DialOption {
 // DialTimeout sets the default per-request timeout (default 30s).
 func DialTimeout(t time.Duration) DialOption {
 	return func(d *dialConfig) { d.timeout = t }
-}
-
-// DialBatching enables client-side operation batching on the dialed
-// handle, with the same semantics and defaults as WithClientBatching.
-func DialBatching(maxOps, maxBytes int, flushInterval time.Duration) DialOption {
-	return func(d *dialConfig) {
-		d.batch.enabled = true
-		d.batch.maxOps = maxOps
-		d.batch.maxBytes = maxBytes
-		d.batch.flush = flushInterval
-	}
 }
 
 // DialTLS overrides where the handle reads its mutual-TLS material from:
@@ -377,8 +355,5 @@ func DialConfig(cfg *Config, optfns ...DialOption) (*Client, error) {
 	h := newDialedClient(rt, len(rt.endpoints), dc.timeout)
 	h.reg = reg
 	h.registerClientObs(reg)
-	if dc.batch.enabled {
-		h.startBatching(dc.batch)
-	}
 	return h, nil
 }

@@ -242,34 +242,13 @@ func TestNodeOpsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freePortConfig(t, cfg)
-	nodes, err := cfg.Nodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	assignPorts(t, cfg)
 	ctx := context.Background()
 	byRole := make(map[string]*Node)
-	var running []*Node
-	defer func() {
-		for _, n := range running {
-			n.Close()
-		}
-	}()
-	for _, ni := range nodes {
-		if ni.Role == "client" {
-			continue
-		}
-		n, err := NewNode(cfg, ni.ID,
-			NodeMetricsAddr("127.0.0.1:0"),
-			NodeDataDir(t.TempDir()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(ctx); err != nil {
-			t.Fatalf("starting %s node %d: %v", ni.Role, ni.ID, err)
-		}
-		running = append(running, n)
-		byRole[ni.Role] = n
+	for _, n := range startNodes(t, cfg, func() []NodeOption {
+		return []NodeOption{NodeMetricsAddr("127.0.0.1:0"), NodeDataDir(t.TempDir())}
+	}) {
+		byRole[n.Role()] = n
 	}
 	cl, err := DialConfig(cfg, DialTimeout(20*time.Second))
 	if err != nil {

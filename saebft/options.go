@@ -14,25 +14,20 @@ import (
 type options struct {
 	mode          Mode
 	replyMode     ReplyMode
-	replyModeSet  bool
 	f, g, h       int
 	clients       int
 	appName       string
 	appFactory    func() sm.StateMachine
 	batchSize     int
-	batchBytes    int
 	batchWait     time.Duration
-	pipeline      int
 	clientBatch   clientBatching
 	crypto        CryptoConfig
-	directReply   bool
 	thresholdBits int
 	ckptInterval  int
 	storage       StorageConfig
 	seed          string
 	netSeed       int64
 	invokeTimeout time.Duration
-	readTimeout   time.Duration
 	transport     Transport
 	tls           TLSConfig
 	metricsAddr   string
@@ -81,7 +76,7 @@ func WithAppFactory(f func() StateMachine) Option {
 // WithReplyMode selects the reply-certificate scheme. Default: quorum
 // (forced to threshold in firewall mode, quorum in BASE mode).
 func WithReplyMode(r ReplyMode) Option {
-	return func(o *options) { o.replyMode = r; o.replyModeSet = true }
+	return func(o *options) { o.replyMode = r }
 }
 
 // WithBatching sets the agreement batch size and the maximum wait to fill a
@@ -92,12 +87,6 @@ func WithReplyMode(r ReplyMode) Option {
 func WithBatching(size int, wait time.Duration) Option {
 	return func(o *options) { o.batchSize = size; o.batchWait = wait }
 }
-
-// WithBatchBytes bounds the request-body bytes the agreement primary packs
-// into one ordered batch — the byte-level companion of WithBatching, which
-// matters once batching clients submit large multi-op requests. Zero keeps
-// the default (256 KiB).
-func WithBatchBytes(n int) Option { return func(o *options) { o.batchBytes = n } }
 
 // WithClientBatching turns on client-side operation batching: concurrent
 // Invoke/InvokeAsync calls on the cluster's handle are coalesced into
@@ -130,10 +119,6 @@ func WithAdaptivePipeline(on bool) Option {
 	}
 }
 
-// WithPipeline bounds how many agreement certificates each message queue
-// keeps in flight toward the execution cluster. Zero keeps the default.
-func WithPipeline(n int) Option { return func(o *options) { o.pipeline = n } }
-
 // CryptoMode selects how agreement-cluster votes are authenticated.
 type CryptoMode int
 
@@ -154,26 +139,15 @@ const (
 	CryptoMAC
 )
 
-// CryptoConfig tunes the hot-path cryptography of the agreement cluster.
+// CryptoConfig selects how the agreement cluster authenticates its votes.
 type CryptoConfig struct {
 	// Mode selects signature or MAC authentication for agreement votes.
 	Mode CryptoMode
-	// VerifyWorkers sizes the bounded worker pool that batch certificate
-	// checks (client requests in a pre-prepare, order/commit certificates)
-	// fan out over. The pool joins before any protocol state advances, so
-	// results — and simulated runs — stay deterministic. 0 or 1 verifies
-	// inline.
-	VerifyWorkers int
 }
 
-// WithCrypto configures agreement-vote authentication and parallel
-// certificate verification. The zero config keeps today's behavior:
-// Ed25519 votes, inline verification.
+// WithCrypto configures agreement-vote authentication. The zero config
+// signs every vote with Ed25519.
 func WithCrypto(c CryptoConfig) Option { return func(o *options) { o.crypto = c } }
-
-// WithDirectReply lets executors send reply shares straight to clients
-// (§3.1.3 optimization; ignored behind the firewall).
-func WithDirectReply(on bool) Option { return func(o *options) { o.directReply = on } }
 
 // WithThresholdBits sizes the threshold-RSA modulus. Small keys (512) keep
 // tests fast; benchmarks use 1024+. Zero keeps the default.
@@ -260,17 +234,6 @@ func WithInvokeTimeout(d time.Duration) Option {
 	return func(o *options) { o.invokeTimeout = d }
 }
 
-// WithReadTimeout bounds each certified-read probe (one ReadCertified call
-// makes up to three before falling back to full agreement). On the
-// simulated transport the duration is interpreted in virtual time. Zero
-// defaults to a quarter of the invoke timeout: a probe is a single round
-// trip to the execution replicas, so it should give up — and let the
-// fallback preserve availability — much sooner than an agreement round
-// would.
-func WithReadTimeout(d time.Duration) Option {
-	return func(o *options) { o.readTimeout = d }
-}
-
 // WithTransport selects how the cluster's nodes communicate. Default:
 // SimTransport().
 func WithTransport(t Transport) Option { return func(o *options) { o.transport = t } }
@@ -315,12 +278,9 @@ func (o *options) coreOptions() (core.Options, error) {
 		H:                  o.h,
 		Clients:            o.clients,
 		Mode:               o.mode.coreMode(),
+		ReplyMode:          o.replyMode.coreMode(),
 		MACAgreement:       o.crypto.Mode == CryptoMAC,
-		VerifyWorkers:      o.crypto.VerifyWorkers,
-		DirectReply:        o.directReply,
 		BatchSize:          o.batchSize,
-		BatchBytes:         o.batchBytes,
-		Pipeline:           o.pipeline,
 		BatchWait:          types.Time(o.batchWait.Nanoseconds()),
 		CheckpointInterval: types.SeqNum(o.ckptInterval),
 		ThresholdBits:      o.thresholdBits,
@@ -334,9 +294,6 @@ func (o *options) coreOptions() (core.Options, error) {
 		opts.DataDir = o.storage.DataDir
 		opts.StorageOptions = o.storage.lower()
 		opts.VolatileVotes = o.storage.VolatileVotes
-	}
-	if o.replyModeSet {
-		opts.ReplyMode = o.replyMode.coreMode()
 	}
 	return opts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -201,6 +202,40 @@ func TestCrashSurvival(t *testing.T) {
 		t.Fatalf("inc after primary crash: %v", err)
 	} else if string(reply) != "3" {
 		t.Fatalf("counter = %q, want 3", reply)
+	}
+}
+
+// TestFaultThresholds runs the paper's f=2, g=2 configuration: 3f+1 = 7
+// agreement and 2g+1 = 5 execution replicas, which keep certifying replies
+// in order with f of the first (the primary among them) and g of the second
+// crashed.
+func TestFaultThresholds(t *testing.T) {
+	c := startSim(t, WithMode(ModeSeparate), WithFaults(2, 2, 0), WithApp("counter"), WithClients(2))
+	if info := c.Info(); info.F != 2 || info.G != 2 || info.Agreement != 7 || info.Execution != 5 {
+		t.Fatalf("Info() = %+v, want f=g=2 over 7 agreement and 5 execution replicas", info)
+	}
+	for _, i := range []int{0, 4} {
+		if err := c.CrashAgreement(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if err := c.CrashExec(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.Client()
+	for want := 1; want <= 20; want++ {
+		reply, err := cl.Invoke(context.Background(), []byte("inc"))
+		if err != nil {
+			t.Fatalf("inc %d: %v", want, err)
+		}
+		if string(reply) != strconv.Itoa(want) {
+			t.Fatalf("inc %d: counter = %q", want, reply)
+		}
+	}
+	if metricSum(c.Metrics(), "saebft_pbft_view_changes_total") == 0 {
+		t.Error("no view change replaced the crashed primary")
 	}
 }
 

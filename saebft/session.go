@@ -141,18 +141,13 @@ func (s *Session) fallback(ctx context.Context, rt clusterRuntime, idx int, op [
 	return body, err
 }
 
-// readAttemptTimeout bounds one fast-path probe: the configured read
-// timeout (WithReadTimeout), defaulting to a fraction of the invoke
-// timeout — a probe is one round trip to the execution replicas, so
-// waiting the full agreement timeout before falling back would forfeit the
-// fast path's latency advantage.
+// readAttemptTimeout bounds one fast-path probe to a quarter of the invoke
+// timeout: a probe is one round trip to the execution replicas, so waiting
+// the full agreement timeout before falling back would forfeit the fast
+// path's latency advantage.
 func (h *Client) readAttemptTimeout() time.Duration {
-	t := h.readTimeout
-	if t == 0 {
-		t = h.timeout / 4
-		if t == 0 {
-			t = time.Second
-		}
+	if t := h.timeout / 4; t != 0 {
+		return t
 	}
-	return t
+	return time.Second
 }

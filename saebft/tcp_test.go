@@ -5,7 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"path/filepath"
+	"strconv"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -115,7 +119,7 @@ func TestMultiProcessConfigDeployment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			freePortConfig(t, cfg)
+			assignPorts(t, cfg)
 
 			// The config round-trips through disk like a real deployment's.
 			path := filepath.Join(t.TempDir(), "cluster.json")
@@ -142,7 +146,7 @@ func TestMultiProcessConfigDeployment(t *testing.T) {
 func roundTrip(t *testing.T, cfg *Config) {
 	t.Helper()
 	ctx := context.Background()
-	startNodes(t, cfg)
+	startNodes(t, cfg, nil)
 
 	cl, err := DialConfig(cfg, DialTimeout(20*time.Second))
 	if err != nil {
@@ -166,11 +170,34 @@ func roundTrip(t *testing.T, cfg *Config) {
 	}
 }
 
-// startNodes runs every replica of cfg in this process until the test ends.
-// The ports freePortConfig picked are released before the nodes bind them,
-// so another socket can take one first; when that happens the ports are
-// picked again and every node starts over.
-func startNodes(t *testing.T, cfg *Config) {
+// portBlock counts the port blocks assignPorts has handed out.
+var portBlock atomic.Uint32
+
+// assignPorts rewrites every address in cfg to a block of consecutive
+// loopback ports in 30000–32767: below the kernel's ephemeral range, so no
+// outbound connection can take one as its source port before its node binds
+// it, and above the benchmark's blocks (10000–29199). Each test binary owns
+// a region of four blocks chosen by its pid, so concurrent binaries rarely
+// collide, and each call takes the region's next block, so a retry after
+// EADDRINUSE gets fresh ports.
+func assignPorts(t *testing.T, cfg *Config) {
+	t.Helper()
+	const first, block, region = 30000, 16, 4 * 16
+	if len(cfg.d.Addrs) > block {
+		t.Fatalf("config has %d addresses, more than a block of %d ports", len(cfg.d.Addrs), block)
+	}
+	port := first + os.Getpid()%((32768-first)/region)*region + int(portBlock.Add(1)%4)*block
+	for k := range cfg.d.Addrs {
+		cfg.d.Addrs[k] = net.JoinHostPort("127.0.0.1", strconv.Itoa(port))
+		port++
+	}
+}
+
+// startNodes runs every replica of cfg in this process until the test ends,
+// each with the options opts returns (opts may be nil), and returns them in
+// cfg.Nodes order. A port another process holds fails the start with
+// EADDRINUSE; then the ports are assigned again and every node starts over.
+func startNodes(t *testing.T, cfg *Config, opts func() []NodeOption) []*Node {
 	t.Helper()
 	infos, err := cfg.Nodes()
 	if err != nil {
@@ -183,7 +210,11 @@ func startNodes(t *testing.T, cfg *Config) {
 				if ni.Role == "client" {
 					continue
 				}
-				n, err := NewNode(cfg, ni.ID)
+				var nopts []NodeOption
+				if opts != nil {
+					nopts = opts()
+				}
+				n, err := NewNode(cfg, ni.ID, nopts...)
 				if err != nil {
 					return err
 				}
@@ -200,7 +231,7 @@ func startNodes(t *testing.T, cfg *Config) {
 					n.Close()
 				}
 			})
-			return
+			return running
 		}
 		for _, n := range running {
 			n.Close()
@@ -208,6 +239,6 @@ func startNodes(t *testing.T, cfg *Config) {
 		if attempt == 3 || !errors.Is(err, syscall.EADDRINUSE) {
 			t.Fatal(err)
 		}
-		freePortConfig(t, cfg)
+		assignPorts(t, cfg)
 	}
 }

@@ -3,7 +3,6 @@ package saebft
 import (
 	"bytes"
 	"context"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -121,20 +120,6 @@ func TestTLSFlagsResolve(t *testing.T) {
 	}
 }
 
-// freePortConfig rewrites every address in cfg to a kernel-assigned free
-// loopback port so parallel test runs cannot collide.
-func freePortConfig(t *testing.T, cfg *Config) {
-	t.Helper()
-	for k := range cfg.d.Addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.d.Addrs[k] = ln.Addr().String()
-		ln.Close()
-	}
-}
-
 // TestTLSConfigDeployment exercises the full multi-process TLS path the
 // cmd tools wrap: keygen-style cert minting into a directory, config
 // round-trip through disk, per-node startup over mutual TLS, a dialed
@@ -155,7 +140,7 @@ func TestTLSConfigDeployment(t *testing.T) {
 	if !cfg.TLSEnabled() {
 		t.Fatal("GenerateConfig with TLSDir did not record TLS material")
 	}
-	freePortConfig(t, cfg)
+	assignPorts(t, cfg)
 
 	// Round-trip through disk like a real deployment's config.
 	path := filepath.Join(dir, "cluster.json")
@@ -174,36 +159,16 @@ func TestTLSConfigDeployment(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	nodes, err := loaded.Nodes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	running := make(map[int]*Node)
-	defer func() {
-		for _, n := range running {
-			n.Close()
-		}
-	}()
-	var execID int
-	for _, ni := range nodes {
-		if ni.Role == "client" {
-			continue
-		}
-		if ni.Role == "execution" {
-			execID = ni.ID
-		}
-		n, err := NewNode(loaded, ni.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(ctx); err != nil {
-			t.Fatalf("starting %s node %d: %v", ni.Role, ni.ID, err)
-		}
+	var exec *Node
+	for _, n := range startNodes(t, loaded, nil) {
 		if !n.Secure() {
-			t.Fatalf("node %d came up without TLS despite the config", ni.ID)
+			t.Fatalf("node %d came up without TLS despite the config", n.ID())
 		}
-		running[ni.ID] = n
+		if n.Role() == "execution" {
+			exec = n
+		}
 	}
+	execID := exec.ID()
 
 	cl, err := DialConfig(loaded, DialTimeout(20*time.Second))
 	if err != nil {
@@ -217,8 +182,7 @@ func TestTLSConfigDeployment(t *testing.T) {
 	// Kill one execution replica and keep working (g+1 of 2g+1 replies
 	// still certify), then restart it over the same TLS material and keep
 	// working — peers reconnect through the authenticated handshake path.
-	running[execID].Close()
-	delete(running, execID)
+	exec.Close()
 	if reply, err := cl.Invoke(ctx, []byte("inc")); err != nil || string(reply) != "2" {
 		t.Fatalf("inc with one executor down: %q, %v", reply, err)
 	}
@@ -229,7 +193,7 @@ func TestTLSConfigDeployment(t *testing.T) {
 	if err := restarted.Start(ctx); err != nil {
 		t.Fatalf("restarting executor %d: %v", execID, err)
 	}
-	running[execID] = restarted
+	defer restarted.Close()
 	if reply, err := cl.Invoke(ctx, []byte("inc")); err != nil || string(reply) != "3" {
 		t.Fatalf("inc after executor restart: %q, %v", reply, err)
 	}

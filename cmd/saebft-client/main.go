@@ -14,9 +14,6 @@
 //	saebft-client -config cluster.json inc
 //	saebft-client -config cluster.json add 41
 //	saebft-client -config cluster.json get-count
-//
-// Any application registered with a CLI encoding (saebft.RegisterAppCLI)
-// works the same way.
 package main
 
 import (

@@ -117,15 +117,53 @@ func (b *Builder) verifier(id types.NodeID) *replycert.Verifier {
 }
 
 // AgreementNode builds one agreement replica (engine + queue, or engine +
-// direct application in BASE mode). The returned transport.Node is what the
-// network must drive; engine and queue expose introspection (queue is nil in
-// BASE mode).
+// coupled execution replica in BASE mode). The returned transport.Node is
+// what the network must drive; engine and queue expose introspection (queue
+// is nil in BASE mode).
 func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transport.Node, *pbft.Replica, *mqueue.Queue, error) {
 	store, err := b.nodeStore(id)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	engineCfg := pbft.Config{
+	closeStore := func() {
+		if store != nil {
+			store.Close()
+		}
+	}
+	var app pbft.App
+	var queue *mqueue.Queue
+	if b.Opts.Mode == ModeBASE {
+		// Each agreement replica executes what it orders and answers the
+		// clients itself; its engine's log and checkpoints make it durable.
+		app, err = execnode.New(execnode.Config{
+			ID:                   id,
+			Topology:             b.Top,
+			ReplyAuth:            b.replyAuth(id),
+			ReplyMode:            b.Opts.ReplyMode,
+			DirectReplyToClients: true,
+			Obs:                  b.Opts.Obs,
+			Trace:                b.Opts.Trace,
+		}, b.Opts.App(), send)
+	} else {
+		dests := b.Top.Execution
+		if b.Opts.Mode == ModeFirewall {
+			dests = b.Top.Filters[0]
+		}
+		queue, err = mqueue.New(mqueue.Config{
+			ID:        id,
+			Topology:  b.Top,
+			OrderAuth: b.orderAuth(id),
+			Verifier:  b.verifier(id),
+			Dests:     dests,
+			Pipeline:  b.Opts.Pipeline,
+		}, b.countProofRequests(id, send))
+		app = queue
+	}
+	if err != nil {
+		closeStore()
+		return nil, nil, nil, err
+	}
+	engine, err := pbft.New(pbft.Config{
 		ID:                 id,
 		Topology:           b.Top,
 		ReplicaAuth:        b.replicaAuth(id),
@@ -141,42 +179,7 @@ func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transpo
 		VolatileVotes:      b.Opts.VolatileVotes,
 		Obs:                b.Opts.Obs,
 		Trace:              b.Opts.Trace,
-	}
-	closeStore := func() {
-		if store != nil {
-			store.Close()
-		}
-	}
-	if b.Opts.Mode == ModeBASE {
-		app := newDirectApp(id, b.Top, b.Opts.App(), b.replyAuth(id), send)
-		engine, err := pbft.New(engineCfg, app, send)
-		if err != nil {
-			closeStore()
-			return nil, nil, nil, err
-		}
-		if err := engine.Recover(0); err != nil {
-			closeStore()
-			return nil, nil, nil, fmt.Errorf("core: recovering agreement replica %v: %w", id, err)
-		}
-		return engine, engine, nil, nil
-	}
-	dests := b.Top.Execution
-	if b.Opts.Mode == ModeFirewall {
-		dests = b.Top.Filters[0]
-	}
-	queue, err := mqueue.New(mqueue.Config{
-		ID:        id,
-		Topology:  b.Top,
-		OrderAuth: b.orderAuth(id),
-		Verifier:  b.verifier(id),
-		Dests:     dests,
-		Pipeline:  b.Opts.Pipeline,
-	}, b.countProofRequests(id, send))
-	if err != nil {
-		closeStore()
-		return nil, nil, nil, err
-	}
-	engine, err := pbft.New(engineCfg, queue, send)
+	}, app, send)
 	if err != nil {
 		closeStore()
 		return nil, nil, nil, err
@@ -185,8 +188,10 @@ func (b *Builder) AgreementNode(id types.NodeID, send transport.Sender) (transpo
 		closeStore()
 		return nil, nil, nil, fmt.Errorf("core: recovering agreement replica %v: %w", id, err)
 	}
-	node := &AgreementNode{ID: id, Engine: engine, Queue: queue}
-	return node, engine, queue, nil
+	if queue == nil {
+		return engine, engine, nil, nil
+	}
+	return &AgreementNode{ID: id, Engine: engine, Queue: queue}, engine, queue, nil
 }
 
 // ExecNode builds one execution replica hosting a fresh application

@@ -139,33 +139,57 @@ func TestMultipleClientsInterleaved(t *testing.T) {
 	}
 }
 
+// hostedApps makes o's App factory record every counter it builds, in
+// build order: the execution replicas' or, in BASE mode, the agreement
+// replicas' own.
+func hostedApps(o *Options) *[]*counter.Counter {
+	apps := new([]*counter.Counter)
+	o.App = func() sm.StateMachine {
+		c := counter.New()
+		*apps = append(*apps, c)
+		return c
+	}
+	return apps
+}
+
 func TestExactlyOnceUnderReplyLoss(t *testing.T) {
-	c := build(t, counterOpts(func(o *Options) {
-		o.ReplyMode = replycert.ModeQuorum
-		o.ClientRetransmit = types.Millisecond(40)
-	}))
-	// Drop most replies on their way to the client: the client must
-	// retransmit, and the increments must still apply exactly once.
-	for _, a := range c.Top.Agreement {
-		c.Net.SetLink(a, c.Top.Clients[0], transport.LinkOpts{Drop: 0.85, MinDelay: 50_000, MaxDelay: 200_000})
-	}
-	for _, e := range c.Top.Execution {
-		for _, a := range c.Top.Agreement {
-			c.Net.SetLink(e, a, transport.LinkOpts{Drop: 0.5, MinDelay: 50_000, MaxDelay: 200_000})
-		}
-	}
-	for i := 1; i <= 5; i++ {
-		if got := mustInvoke(t, c, 0, "inc"); got != fmt.Sprint(i) {
-			t.Fatalf("inc #%d = %q", i, got)
-		}
-	}
-	if c.Clients[0].Metrics.Retransmits == 0 {
-		t.Error("loss never forced a client retransmission; test is vacuous")
-	}
-	for id, app := range c.ExecApps {
-		if v := app.(*counter.Counter).Value(); v != 5 {
-			t.Errorf("executor %v counted %d increments, want exactly 5", id, v)
-		}
+	for _, mode := range []Mode{ModeSeparate, ModeBASE} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var apps *[]*counter.Counter
+			c := build(t, counterOpts(func(o *Options) {
+				o.Mode = mode
+				o.ReplyMode = replycert.ModeQuorum
+				o.ClientRetransmit = types.Millisecond(40)
+				apps = hostedApps(o)
+			}))
+			// Drop most replies on their way to the client: the client
+			// must retransmit, and the increments must still apply
+			// exactly once.
+			for _, a := range c.Top.Agreement {
+				c.Net.SetLink(a, c.Top.Clients[0], transport.LinkOpts{Drop: 0.85, MinDelay: 50_000, MaxDelay: 200_000})
+			}
+			for _, e := range c.Top.Execution {
+				for _, a := range c.Top.Agreement {
+					c.Net.SetLink(e, a, transport.LinkOpts{Drop: 0.5, MinDelay: 50_000, MaxDelay: 200_000})
+				}
+			}
+			for i := 1; i <= 5; i++ {
+				if got := mustInvoke(t, c, 0, "inc"); got != fmt.Sprint(i) {
+					t.Fatalf("inc #%d = %q", i, got)
+				}
+			}
+			if c.Clients[0].Metrics.Retransmits == 0 {
+				t.Error("loss never forced a client retransmission; test is vacuous")
+			}
+			if len(*apps) == 0 {
+				t.Fatal("no replica hosts the application")
+			}
+			for i, app := range *apps {
+				if v := app.Value(); v != 5 {
+					t.Errorf("replica #%d counted %d increments, want exactly 5", i, v)
+				}
+			}
+		})
 	}
 }
 
@@ -387,28 +411,35 @@ func TestBuildRejectsMissingApp(t *testing.T) {
 }
 
 func TestSequentialLoadThroughCheckpoints(t *testing.T) {
-	c := build(t, counterOpts(func(o *Options) {
-		o.CheckpointInterval = 4
-		o.WindowSize = 16
-		o.BatchSize = 1
-		o.Pipeline = 8
-	}))
-	const n = 30
-	for i := 1; i <= n; i++ {
-		if got := mustInvoke(t, c, 0, "inc"); got != fmt.Sprint(i) {
-			t.Fatalf("inc #%d = %q", i, got)
-		}
-	}
-	// Both clusters advanced their stable checkpoints and GCed.
-	for id, e := range c.Execs {
-		if e.StableSeq() == 0 {
-			t.Errorf("executor %v never stabilized a checkpoint", id)
-		}
-	}
-	for id, eng := range c.Engines {
-		if eng.LastStable() == 0 {
-			t.Errorf("agreement replica %v never stabilized a checkpoint", id)
-		}
+	for _, mode := range []Mode{ModeSeparate, ModeBASE} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := build(t, counterOpts(func(o *Options) {
+				o.Mode = mode
+				o.CheckpointInterval = 4
+				o.WindowSize = 16
+				o.BatchSize = 1
+				o.Pipeline = 8
+			}))
+			const n = 30
+			for i := 1; i <= n; i++ {
+				if got := mustInvoke(t, c, 0, "inc"); got != fmt.Sprint(i) {
+					t.Fatalf("inc #%d = %q", i, got)
+				}
+			}
+			// Both clusters advanced their stable checkpoints and GCed. In
+			// BASE mode stability proves the agreement replicas' payloads,
+			// app state and reply table, match byte for byte.
+			for id, e := range c.Execs {
+				if e.StableSeq() == 0 {
+					t.Errorf("executor %v never stabilized a checkpoint", id)
+				}
+			}
+			for id, eng := range c.Engines {
+				if eng.LastStable() == 0 {
+					t.Errorf("agreement replica %v never stabilized a checkpoint", id)
+				}
+			}
+		})
 	}
 }
 
@@ -443,6 +474,56 @@ func TestLaggingExecutorStateTransfer(t *testing.T) {
 	}
 	if c.Execs[lagging].Metrics.StateTransfer == 0 {
 		t.Error("no state transfer occurred; test is vacuous")
+	}
+}
+
+// restoreCounter counts the checkpoint payloads restored into a counter.
+type restoreCounter struct {
+	*counter.Counter
+	restores int
+}
+
+func (r *restoreCounter) Restore(data []byte) error {
+	r.restores++
+	return r.Counter.Restore(data)
+}
+
+// TestBASELaggingReplicaStateTransfer is TestLaggingExecutorStateTransfer
+// for the coupled baseline: a crashed agreement replica misses a
+// garbage-collected prefix and catches up by restoring a peer's checkpoint
+// into the state machine it executes.
+func TestBASELaggingReplicaStateTransfer(t *testing.T) {
+	var apps []*restoreCounter
+	c := build(t, counterOpts(func(o *Options) {
+		o.Mode = ModeBASE
+		o.CheckpointInterval = 4
+		o.BatchSize = 1
+		o.Pipeline = 8
+		o.WindowSize = 16
+		o.App = func() sm.StateMachine {
+			a := &restoreCounter{Counter: counter.New()}
+			apps = append(apps, a)
+			return a
+		}
+	}))
+	lagging := c.Top.Agreement[3]
+	app := apps[3] // the factory runs once per agreement replica, in order
+	c.Net.Crash(lagging)
+	for i := 1; i <= 20; i++ {
+		mustInvoke(t, c, 0, "inc")
+	}
+	c.Net.Revive(lagging)
+	for i := 21; i <= 26; i++ {
+		if got := mustInvoke(t, c, 0, "inc"); got != fmt.Sprint(i) {
+			t.Fatalf("inc #%d = %q", i, got)
+		}
+	}
+	ok := c.Net.RunUntil(func() bool { return app.Value() == 26 }, c.Net.Now()+types.Time(10e9))
+	if !ok {
+		t.Fatalf("revived replica state = %d, want 26 (restores=%d)", app.Value(), app.restores)
+	}
+	if app.restores != 1 {
+		t.Errorf("revived replica restored %d checkpoints, want exactly 1", app.restores)
 	}
 }
 

@@ -15,6 +15,9 @@
 // ordering is already cryptographically proven, so g+1 matching replies out
 // of 2g+1 replicas certify a correct result. This is the paper's central
 // cost reduction over 3f+1-replica execution.
+//
+// A Replica built for an agreement replica's id is the coupled baseline
+// instead (BASE, Figure 1a; see coupled.go).
 package execnode
 
 import (
@@ -62,7 +65,7 @@ type Config struct {
 	ClientAuth auth.Scheme
 
 	// ReplyDests receives this replica's reply shares: the agreement
-	// cluster, or the top firewall row.
+	// cluster, or the top firewall row (none for a coupled replica).
 	ReplyDests []types.NodeID
 	// DirectReplyToClients additionally sends shares straight to clients
 	// (the paper's optimization; must stay off behind a privacy firewall).
@@ -145,11 +148,11 @@ type replyState struct {
 	seq       types.SeqNum // batch that last touched this entry (for pruning)
 }
 
-// sentShare is a reply bundle share as it was sent: its sequence number and
-// encoding, kept so retransmissions resend the bytes instead of re-encoding.
-// In threshold mode it also keeps the bundle, its digest and the bare share,
-// so a combiner's proof request can be answered, and the proven encoding
-// once computed, so the bundle is proven at most once.
+// sentShare is a reply bundle share as it was sent: its sequence number,
+// bundle and encoding, kept so retransmissions resend the bytes instead of
+// re-encoding. In threshold mode it also keeps the bundle's digest and the
+// bare share, so a combiner's proof request can be answered, and the proven
+// encoding once computed, so the bundle is proven at most once.
 type sentShare struct {
 	seq  types.SeqNum
 	data []byte
@@ -219,15 +222,19 @@ func New(cfg Config, app sm.StateMachine, send transport.Sender) (*Replica, erro
 	if top == nil {
 		return nil, fmt.Errorf("execnode: nil topology")
 	}
+	// An agreement id makes the coupled replica of the package comment.
 	role, _, ok := top.RoleOf(cfg.ID)
-	if !ok || role != types.RoleExecution {
-		return nil, fmt.Errorf("execnode: %v is not an execution replica", cfg.ID)
+	if !ok || (role != types.RoleExecution && role != types.RoleAgreement) {
+		return nil, fmt.Errorf("execnode: %v is neither an execution nor an agreement replica", cfg.ID)
 	}
 	if cfg.ReplyMode == replycert.ModeThreshold && cfg.ThresholdShare == nil {
 		return nil, fmt.Errorf("execnode: threshold mode requires a key share")
 	}
 	if len(cfg.ReplyDests) == 0 && !cfg.DirectReplyToClients {
 		return nil, fmt.Errorf("execnode: no reply destinations configured")
+	}
+	if role == types.RoleAgreement && len(cfg.ReplyDests) > 0 {
+		return nil, fmt.Errorf("execnode: coupled replica %v replies to clients only", cfg.ID)
 	}
 	return &Replica{
 		cfg:       cfg,
@@ -428,10 +435,8 @@ func (r *Replica) executeReady(now types.Time) {
 			observeSince(r.om.applyLag, acc.firstSeen, now)
 		}
 		delete(r.pending, next)
-		r.maxN = next
 		r.om.queueDepth.Set(int64(len(r.pending)))
-		r.om.appliedSeq.Set(int64(next))
-		r.executeBatch(proof, now)
+		r.apply(proof.View, next, proof.ND, proof.Requests, now)
 		if next%r.cfg.CheckpointInterval == 0 {
 			r.makeCheckpoint(next)
 			r.span(now, obs.StageCheckpoint, next, "local")
@@ -439,35 +444,38 @@ func (r *Replica) executeReady(now types.Time) {
 	}
 }
 
-// executeBatch applies the paper's three exactly-once cases per request and
-// emits one bundled reply share for the whole batch.
-func (r *Replica) executeBatch(proof *wire.OrderProof, now types.Time) {
+// apply executes batch n, the next in sequence: it applies the paper's three
+// exactly-once cases per request and emits one bundled reply share for the
+// whole batch. executeReady and the coupled replica's Execute both end here.
+func (r *Replica) apply(v types.View, n types.SeqNum, nd types.NonDet, reqs []wire.Request, now types.Time) {
+	r.maxN = n
+	r.om.appliedSeq.Set(int64(n))
 	r.Metrics.Executed++
 	r.om.batches.Inc()
-	r.span(now, obs.StageApply, proof.Seq, fmt.Sprintf("reqs=%d", len(proof.Requests)))
-	entries := make([]wire.Reply, 0, len(proof.Requests))
-	for i := range proof.Requests {
-		req := &proof.Requests[i]
+	r.span(now, obs.StageApply, n, fmt.Sprintf("reqs=%d", len(reqs)))
+	entries := make([]wire.Reply, 0, len(reqs))
+	for i := range reqs {
+		req := &reqs[i]
 		rs := r.replies[req.Client]
 		if rs == nil {
 			rs = &replyState{}
 			r.replies[req.Client] = rs
 		}
-		rs.seq = proof.Seq
+		rs.seq = n
 		var entry wire.Reply
 		if req.Timestamp > rs.timestamp {
 			// Case 1: fresh request — execute it.
-			body := r.execute(req, proof.ND)
+			body := r.execute(req, nd)
 			rs.timestamp = req.Timestamp
 			rs.body = body
-			entry = wire.Reply{View: proof.View, Seq: proof.Seq, Client: req.Client, Timestamp: req.Timestamp, Body: body}
+			entry = wire.Reply{View: v, Seq: n, Client: req.Client, Timestamp: req.Timestamp, Body: body}
 			r.Metrics.Requests++
 			r.om.requests.Inc()
 		} else {
 			// Cases 2 and 3: a retransmission (t == t') or a stale
 			// request (t < t') — acknowledge the new sequence number
 			// with the cached timestamp and reply body.
-			entry = wire.Reply{View: proof.View, Seq: proof.Seq, Client: req.Client, Timestamp: rs.timestamp, Body: rs.body}
+			entry = wire.Reply{View: v, Seq: n, Client: req.Client, Timestamp: rs.timestamp, Body: rs.body}
 			r.Metrics.Retransmits++
 			r.om.retransmits.Inc()
 		}
@@ -500,22 +508,34 @@ func (r *Replica) execute(req *wire.Request, nd types.NonDet) []byte {
 	return r.executeOps(op, nd)
 }
 
-// executeOps applies one request body to the state machine. A multi-op
-// envelope (client-side batching) is unpacked and each operation executed
-// in envelope order, their replies packed into one matching reply envelope
-// so the whole batch travels inside a single certified reply entry; any
-// other body is a single opaque operation.
+// executeOps applies one request body to the state machine, operation by
+// operation (see eachOp), so a client-side batch travels inside a single
+// certified reply entry.
 func (r *Replica) executeOps(body []byte, nd types.NonDet) []byte {
-	ops, ok := wire.UnpackOps(body)
-	if !ok {
-		return r.app.Execute(body, nd)
+	out, ops, _ := eachOp(body, func(op []byte) ([]byte, bool) { return r.app.Execute(op, nd), true })
+	r.Metrics.MultiOps += uint64(ops)
+	return out
+}
+
+// eachOp runs do over the operations of one request body. A multi-op
+// envelope (client-side batching) is unpacked and its operations run in
+// envelope order, their results packed into one matching reply envelope;
+// any other body is a single opaque operation. The walk stops at the first
+// operation do refuses. ops counts the envelope's operations (0 for a
+// single operation).
+func eachOp(body []byte, do func(op []byte) ([]byte, bool)) (out []byte, ops int, ok bool) {
+	list, isEnvelope := wire.UnpackOps(body)
+	if !isEnvelope {
+		out, ok = do(body)
+		return out, 0, ok
 	}
-	bodies := make([][]byte, len(ops))
-	for i, op := range ops {
-		bodies[i] = r.app.Execute(op, nd)
+	bodies := make([][]byte, len(list))
+	for i, op := range list {
+		if bodies[i], ok = do(op); !ok {
+			return nil, 0, false
+		}
 	}
-	r.Metrics.MultiOps += uint64(len(ops))
-	return wire.PackOpReplies(bodies)
+	return wire.PackOpReplies(bodies), len(list), true
 }
 
 // emitBundle signs (or attests) the reply bundle and sends the share. A
@@ -529,7 +549,7 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 		sh = r.cfg.ThresholdShare.Share(digest)
 		out.Share = sh.Marshal()
 	} else {
-		dests := append([]types.NodeID(nil), r.top.Agreement...)
+		dests := append([]types.NodeID(nil), r.cfg.ReplyDests...)
 		for i := range entries {
 			dests = append(dests, entries[i].Client)
 		}
@@ -539,9 +559,9 @@ func (r *Replica) emitBundle(entries []wire.Reply, now types.Time) {
 		}
 		out.Att = att
 	}
-	sent := &sentShare{seq: entries[0].Seq, data: wire.Marshal(out)}
+	sent := &sentShare{seq: entries[0].Seq, data: wire.Marshal(out), entries: entries}
 	if sh != nil {
-		sent.entries, sent.digest, sent.share = entries, digest, sh
+		sent.digest, sent.share = digest, sh
 	}
 	for i := range entries {
 		r.lastOut[entries[i].Client] = sent
@@ -615,25 +635,9 @@ func (r *Replica) onProofRequest(from types.NodeID, m *wire.ProofRequest) {
 // makeCheckpoint snapshots application state plus the reply table and shares
 // a signed digest with the cluster (§3.3.2).
 func (r *Replica) makeCheckpoint(n types.SeqNum) {
-	// Bound the reply table before snapshotting it. Checkpoint creation is
-	// a deterministic function of the executed log — unlike stability,
-	// which depends on message timing — so every correct replica prunes
-	// the same entries and digests still match.
-	if ret := r.cfg.ReplyRetention; ret > 0 {
-		for id, rs := range r.replies {
-			if rs.seq+ret < n {
-				delete(r.replies, id)
-				delete(r.lastOut, id)
-			}
-		}
-	}
-	payload := r.marshalCheckpoint()
+	payload := r.snapshot(n)
 	digest := types.DigestBytes(payload)
 	r.ckptLocal[n] = payload
-	r.Metrics.Checkpoints++
-	r.om.checkpoints.Inc()
-	r.om.ckptBytes.Observe(float64(len(payload)))
-	r.om.replyCache.Set(int64(len(r.replies)))
 	att, err := r.cfg.ExecAuth.Attest(auth.KindExecCheckpoint, wire.CheckpointDigest(n, digest), r.top.Execution)
 	if err != nil {
 		return
@@ -769,6 +773,29 @@ func (r *Replica) persistStable(n types.SeqNum) {
 	}
 }
 
+// snapshot bounds the reply table and serializes the checkpoint payload for
+// sequence number n.
+func (r *Replica) snapshot(n types.SeqNum) []byte {
+	// Bound the reply table before snapshotting it. Checkpoint creation is
+	// a deterministic function of the executed log — unlike stability,
+	// which depends on message timing — so every correct replica prunes
+	// the same entries and digests still match.
+	if ret := r.cfg.ReplyRetention; ret > 0 {
+		for id, rs := range r.replies {
+			if rs.seq+ret < n {
+				delete(r.replies, id)
+				delete(r.lastOut, id)
+			}
+		}
+	}
+	payload := r.marshalCheckpoint()
+	r.Metrics.Checkpoints++
+	r.om.checkpoints.Inc()
+	r.om.ckptBytes.Observe(float64(len(payload)))
+	r.om.replyCache.Set(int64(len(r.replies)))
+	return payload
+}
+
 // marshalCheckpoint serializes app state + reply table, canonically.
 func (r *Replica) marshalCheckpoint() []byte {
 	var w wire.Writer
@@ -789,23 +816,36 @@ func (r *Replica) marshalCheckpoint() []byte {
 	return w.B
 }
 
-func (r *Replica) restoreCheckpoint(payload []byte) error {
-	rd := wire.NewReader(payload)
-	appState := rd.Bytes()
-	n := rd.SliceLen()
-	replies := make(map[types.NodeID]*replyState, n)
-	for i := 0; i < n; i++ {
-		id := rd.Node()
-		replies[id] = &replyState{timestamp: rd.TS(), seq: rd.Seq(), body: rd.Bytes()}
+// restoreCheckpoint installs the checkpoint payload taken at sequence number
+// n. Coupled replicas used to write reply-table entries without their last
+// sequence number; that layout is tried second, its entries stamped n so
+// their retention counts from the restore point. Trailing bytes refuse
+// either layout.
+func (r *Replica) restoreCheckpoint(n types.SeqNum, payload []byte) error {
+	for _, withSeq := range []bool{true, false} {
+		rd := wire.NewReader(payload)
+		appState := rd.Bytes()
+		k := rd.SliceLen()
+		replies := make(map[types.NodeID]*replyState, k)
+		for i := 0; i < k; i++ {
+			id := rd.Node()
+			rs := &replyState{timestamp: rd.TS(), seq: n}
+			if withSeq {
+				rs.seq = rd.Seq()
+			}
+			rs.body = rd.Bytes()
+			replies[id] = rs
+		}
+		if rd.Err() != nil || rd.Remaining() != 0 {
+			continue
+		}
+		if err := r.app.Restore(appState); err != nil {
+			return err
+		}
+		r.replies = replies
+		return nil
 	}
-	if rd.Err() != nil || rd.Remaining() != 0 {
-		return fmt.Errorf("execnode: malformed checkpoint payload")
-	}
-	if err := r.app.Restore(appState); err != nil {
-		return err
-	}
-	r.replies = replies
-	return nil
+	return fmt.Errorf("execnode: malformed checkpoint payload")
 }
 
 // --- gap filling and state transfer -----------------------------------------------
@@ -886,7 +926,7 @@ func (r *Replica) onCheckpointData(m *wire.CheckpointData, now types.Time) {
 	if types.DigestBytes(m.Payload) != m.State {
 		return
 	}
-	if err := r.restoreCheckpoint(m.Payload); err != nil {
+	if err := r.restoreCheckpoint(m.Seq, m.Payload); err != nil {
 		return
 	}
 	r.ckptLocal[m.Seq] = m.Payload
@@ -948,7 +988,7 @@ func (r *Replica) Recover(now types.Time) error {
 		if auth.CountDistinct(r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, sp.Atts, allowed) < r.g+1 {
 			continue
 		}
-		if err := r.restoreCheckpoint(ck.Payload); err != nil {
+		if err := r.restoreCheckpoint(ck.Seq, ck.Payload); err != nil {
 			continue
 		}
 		r.maxN = ck.Seq

@@ -101,25 +101,14 @@ func (r *Replica) onReadRequest(m *wire.ReadRequest, now types.Time) {
 	send(m.Client, wire.Marshal(reply))
 }
 
-// queryOps evaluates one read-only request body against the application.
-// Multi-op envelopes are unpacked and each operation queried, mirroring
-// executeOps, so a batched body reads exactly like it would execute.
+// queryOps evaluates one read-only request body against the application,
+// operation by operation (see eachOp), so a batched body reads exactly like
+// it would execute.
 func (r *Replica) queryOps(body []byte) ([]byte, bool) {
 	q, ok := r.app.(sm.Querier)
 	if !ok {
 		return nil, false
 	}
-	ops, isEnvelope := wire.UnpackOps(body)
-	if !isEnvelope {
-		return q.Query(body)
-	}
-	bodies := make([][]byte, len(ops))
-	for i, op := range ops {
-		b, ok := q.Query(op)
-		if !ok {
-			return nil, false
-		}
-		bodies[i] = b
-	}
-	return wire.PackOpReplies(bodies), true
+	out, _, ok := eachOp(body, q.Query)
+	return out, ok
 }

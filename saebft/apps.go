@@ -36,19 +36,6 @@ func RegisterApp(name string, factory func() StateMachine) {
 	})
 }
 
-// RegisterAppCLI is RegisterApp plus a command-line operation encoder,
-// making the app drivable from the saebft-client tool: encode translates
-// words like ["put", "k", "v"] into an encoded operation, and usage is the
-// one-line synopsis shown in errors.
-func RegisterAppCLI(name string, factory func() StateMachine, encode func(args []string) ([]byte, error), usage string) {
-	registry.Register(registry.Entry{
-		Name:   name,
-		New:    func() sm.StateMachine { return factory() },
-		Encode: encode,
-		Usage:  usage,
-	})
-}
-
 // Apps lists registered application names in sorted order. The built-ins
 // are "kv" (a key-value store), "counter", "nfs" (the paper's NFS
 // service), and "null" (the §5 null server).

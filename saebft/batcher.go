@@ -10,12 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ClientBatchingDefaults are applied when WithClientBatching receives zero
+// Client batching defaults, applied when WithClientBatching receives zero
 // values.
 const (
-	DefaultBatchMaxOps   = 16
-	DefaultBatchMaxBytes = 1 << 20
-	DefaultBatchFlush    = 200 * time.Microsecond
+	defaultBatchMaxOps   = 16
+	defaultBatchMaxBytes = 1 << 20
+	defaultBatchFlush    = 200 * time.Microsecond
 )
 
 // clientBatching is the validated batching configuration carried by options.
@@ -30,13 +30,13 @@ type clientBatching struct {
 
 func (c *clientBatching) fillDefaults() {
 	if c.maxOps <= 0 {
-		c.maxOps = DefaultBatchMaxOps
+		c.maxOps = defaultBatchMaxOps
 	}
 	if c.maxBytes <= 0 {
-		c.maxBytes = DefaultBatchMaxBytes
+		c.maxBytes = defaultBatchMaxBytes
 	}
 	if c.flush <= 0 {
-		c.flush = DefaultBatchFlush
+		c.flush = defaultBatchFlush
 	}
 	if !c.adaptSet {
 		c.adaptive = true

@@ -65,7 +65,7 @@ func TestRecoverySequentialCounter(t *testing.T) {
 		"sim": func() []Option { return []Option{WithTransport(SimTransport())} },
 		"tcp": func() []Option { return []Option{WithTransport(TCPTransport())} },
 		// The coupled baseline persists too: the engine's WAL + checkpoint
-		// wrap the directApp's state instead of the message queue's.
+		// wrap its execution replica's state instead of the message queue's.
 		"base-sim": func() []Option {
 			return []Option{WithTransport(SimTransport()), WithMode(ModeBase)}
 		},

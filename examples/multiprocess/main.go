@@ -174,7 +174,7 @@ func main() {
 		fmt.Printf("%-8s → %s\n", op, reply)
 	}
 	// Read-only operations can skip the agreement round entirely: the
-	// execution replicas answer directly, and g+1 matching signed answers
+	// execution replicas answer directly, and g+1 matching attested answers
 	// at the session watermark certify the result (read-your-writes with
 	// respect to the invokes above).
 	reply, err := dialed.ReadCertified(ctx, []byte("get"))

@@ -3,7 +3,7 @@
 //
 // Writes (PUT/DELETE) go through full BFT agreement via Invoke. Reads (GET)
 // are served by Client.ReadCertified: the execution replicas answer directly
-// from applied state, and g+1 matching signed answers certify the result
+// from applied state, and g+1 matching attested answers certify the result
 // without an agreement round — an order of magnitude cheaper, which is what
 // a web tier serving mostly GETs wants. When a read cannot certify (the
 // operation is not read-only, replicas lag, or answers diverge) it falls
@@ -236,6 +236,6 @@ func runDemo(base string) error {
 	if stats.ReadsCertified == 0 {
 		return fmt.Errorf("no read certified on the fast path")
 	}
-	fmt.Println("all GETs served by g+1 matching signed replica answers - no agreement rounds")
+	fmt.Println("all GETs served by g+1 matching attested replica answers - no agreement rounds")
 	return nil
 }

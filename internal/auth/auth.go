@@ -47,7 +47,7 @@ const (
 	KindReply
 	KindExecCheckpoint
 	KindReadRequest // client's certified-read probe to the execution replicas
-	KindReadReply   // one executor's signed answer + applied watermark
+	KindReadReply   // one executor's answer + applied watermark, MAC'd for the client
 )
 
 // Bind mixes the domain label into a digest. All attestations are computed

@@ -73,6 +73,17 @@ func (b *Builder) replyAuth(id types.NodeID) auth.Scheme {
 	return nil
 }
 
+// readAuth backs both halves of the certified-read hop, the client's probe
+// and each executor's answer, with MAC keys shared between each client and
+// each executor alone. A read certificate convinces only the client that
+// asked and is never forwarded, so pairwise MACs suffice.
+func (b *Builder) readAuth(id types.NodeID) auth.Scheme {
+	if role, _, _ := b.Top.RoleOf(id); role == types.RoleExecution {
+		return b.Mat.MACScheme(id, b.Top.Clients)
+	}
+	return b.Mat.MACScheme(id, b.Top.Execution)
+}
+
 // replicaAuth selects the scheme backing the three-phase agreement votes:
 // pairwise MAC vectors under MACAgreement (the hot-path fast mode), Ed25519
 // otherwise. Either way the scheme is instrumented with per-scheme
@@ -231,7 +242,7 @@ func (b *Builder) ExecNode(id types.NodeID, send transport.Sender) (*execnode.Re
 		OrderAuth:            b.orderAuth(id),
 		ReplyAuth:            b.replyAuth(id),
 		ExecAuth:             b.Mat.SigScheme(id),
-		ClientAuth:           b.clientAuth(id),
+		ReadAuth:             b.readAuth(id),
 		ReplyMode:            b.Opts.ReplyMode,
 		ThresholdShare:       b.Mat.ThresholdShare(id),
 		ShareRand:            threshold.NewSeededReader(fmt.Sprintf("%s-share-%d", b.Opts.Seed, id)),
@@ -333,7 +344,7 @@ func (b *Builder) ClientNode(id types.NodeID, send transport.Sender) (*Client, e
 	// the client↔exec channel. Both fall back to full agreement for reads.
 	var rv *replycert.ReadVerifier
 	if b.Opts.Mode != ModeBASE && b.Opts.Mode != ModeFirewall {
-		rv = replycert.NewReadVerifier(b.Top, b.Mat.SigScheme(id))
+		rv = replycert.NewReadVerifier(b.Top, b.readAuth(id))
 	}
 	return NewClient(ClientConfig{
 		ID:              id,

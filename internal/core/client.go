@@ -58,7 +58,7 @@ type ClientMetrics struct {
 	ReadRetransmits uint64
 	ReadsCertified  uint64 // probes that reached a g+1 quorum
 	ReadMismatches  uint64 // probes where all executors answered without a quorum
-	BadReadReplies  uint64 // read replies rejected (signature, membership, wrong probe)
+	BadReadReplies  uint64 // read replies rejected (MAC, membership, wrong probe)
 }
 
 // ClientConfig parameterizes a Client.

@@ -1,7 +1,7 @@
 package core
 
-// The client half of the certified fast read path: fan a signed probe to
-// every execution replica, assemble g+1 matching signed answers at or above
+// The client half of the certified fast read path: fan a MAC'd probe to
+// every execution replica, assemble g+1 matching MAC'd answers at or above
 // the session floor, and report a definite mismatch (with a retry floor)
 // when all 2g+1 executors have answered without such a quorum. Reads run
 // beside the write path: a client may have one request AND one read
@@ -59,7 +59,7 @@ func (c *Client) SubmitRead(op []byte, floor types.SeqNum, now types.Time) error
 	}
 	c.ts++
 	probe := &wire.ReadRequest{Client: c.id, Nonce: c.ts, Op: op, Floor: floor}
-	att, err := c.scheme.Attest(auth.KindReadRequest, probe.Digest(), c.top.Execution)
+	att, err := c.readVerifier.Scheme.Attest(auth.KindReadRequest, probe.Digest(), c.top.Execution)
 	if err != nil {
 		return fmt.Errorf("client: attesting read: %w", err)
 	}

@@ -547,3 +547,59 @@ func TestFirewallOrderedRelease(t *testing.T) {
 		t.Log("no reply was ever held (in-order arrival); restriction exercised only structurally")
 	}
 }
+
+// TestExactlyOnceAfterLongSilence pins exactly-once for a client that
+// falls silent while another client runs thousands of requests: its
+// retransmission arrives after dozens of checkpoints and must still be
+// answered from the reply table, never executed a second time. The reply
+// table keeps one entry per client for as long as the client set exists.
+func TestExactlyOnceAfterLongSilence(t *testing.T) {
+	for _, mode := range []Mode{ModeBASE, ModeSeparate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := build(t, counterOpts(func(o *Options) {
+				o.Mode = mode
+				o.Clients = 2
+				o.BatchSize = 1
+				o.CheckpointInterval = 64
+				o.WindowSize = 128
+				o.MACRequests = true
+				o.MACOrders = true
+				o.MACAgreement = true
+				o.ReplyMode = replycert.ModeQuorum
+			}))
+			silent := c.Top.Clients[0]
+			for _, id := range c.Top.AllNodes() {
+				if id != silent {
+					c.Net.SetLink(id, silent, transport.LinkOpts{Drop: 1})
+				}
+			}
+			var answer string
+			answered := false
+			c.Clients[0].SetOnResult(func(b []byte, _ types.SeqNum) { answer, answered = string(b), true })
+			if err := c.Clients[0].Submit([]byte("inc"), c.Net.Now()); err != nil {
+				t.Fatal(err)
+			}
+			const others = 4300
+			for i := 0; i < others; i++ {
+				mustInvoke(t, c, 1, "inc")
+			}
+			for _, id := range c.Top.AllNodes() {
+				if id != silent {
+					c.Net.SetLink(id, silent, transport.DefaultLinkOpts())
+				}
+			}
+			if !c.Net.RunUntil(func() bool { return answered }, c.Net.Now()+types.Time(60e9)) {
+				t.Fatal("the silent client's request never completed")
+			}
+			if c.Clients[0].Metrics.Retransmits == 0 {
+				t.Fatal("the silent client never retransmitted; test is vacuous")
+			}
+			if answer != "1" {
+				t.Errorf("silent client's inc = %q, want 1 (its request ran first and exactly once)", answer)
+			}
+			if got := mustInvoke(t, c, 1, "get"); got != fmt.Sprint(others+1) {
+				t.Errorf("final get = %s, want %d", got, others+1)
+			}
+		})
+	}
+}

@@ -36,7 +36,7 @@ func (r *Replica) ResendReply(req *wire.Request, now types.Time) bool {
 // Sync implements pbft.App: execution runs inline, so the checkpoint is
 // ready at once.
 func (r *Replica) Sync(n types.SeqNum, done func(types.Digest, []byte)) {
-	payload := r.snapshot(n)
+	payload := r.snapshot()
 	done(types.DigestBytes(payload), payload)
 }
 

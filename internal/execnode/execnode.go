@@ -48,9 +48,10 @@ type Config struct {
 	OrderAuth auth.Scheme
 	// ReplyAuth attests reply bundles in quorum mode.
 	ReplyAuth auth.Scheme
-	// ExecAuth signs checkpoint attestations (must be a signature scheme:
-	// stability proofs are shown to peers and filters).
-	ExecAuth auth.Scheme
+	// ExecAuth signs checkpoint attestations, and nothing else. Stability
+	// proofs are shown to peers that were not their destinations, so the
+	// type admits only transferable (signature) schemes.
+	ExecAuth auth.TransferScheme
 
 	// ReplyMode selects quorum (MAC/signature) or threshold certificates.
 	ReplyMode replycert.Mode
@@ -59,10 +60,12 @@ type Config struct {
 	// ShareRand supplies blinding randomness for share proofs.
 	ShareRand io.Reader
 
-	// ClientAuth verifies clients' certified-read probes (KindReadRequest):
-	// the same scheme construction the agreement cluster uses for request
-	// certificates. Nil disables the read path — ReadRequests are dropped.
-	ClientAuth auth.Scheme
+	// ReadAuth authenticates the certified-read hop: it verifies clients'
+	// probes (KindReadRequest) and attests this replica's answers
+	// (KindReadReply) to the asking client alone. A read certificate is
+	// consumed only by that client, so pairwise MACs suffice. Nil disables
+	// the read path — ReadRequests are dropped.
+	ReadAuth auth.Scheme
 
 	// ReplyDests receives this replica's reply shares: the agreement
 	// cluster, or the top firewall row (none for a coupled replica).
@@ -92,15 +95,6 @@ type Config struct {
 	// lifecycle spans stamped with the protocol clock.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
-
-	// ReplyRetention bounds the exactly-once reply table: entries whose
-	// client has been idle for more than this many sequence numbers are
-	// pruned at the next checkpoint (a deterministic point, so all correct
-	// replicas prune identically and checkpoint digests still match). A
-	// client that retransmits after falling that far behind is re-executed
-	// rather than answered from cache — the standard trade for a bounded
-	// table. Zero takes the default (4096).
-	ReplyRetention types.SeqNum
 }
 
 func (c *Config) fillDefaults() {
@@ -112,9 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FetchRetry == 0 {
 		c.FetchRetry = types.Millisecond(40)
-	}
-	if c.ReplyRetention == 0 {
-		c.ReplyRetention = 4096
 	}
 }
 
@@ -145,7 +136,7 @@ func (a *orderAccum) holds(od types.Digest, id types.NodeID) bool {
 type replyState struct {
 	timestamp types.Timestamp
 	body      []byte       // cached reply body r' (sealed if sealing is on)
-	seq       types.SeqNum // batch that last touched this entry (for pruning)
+	seq       types.SeqNum // batch that last touched this entry; kept in the checkpoint layout
 }
 
 // sentShare is a reply bundle share as it was sent: its sequence number,
@@ -211,7 +202,7 @@ type Metrics struct {
 	StateTransfer uint64
 	Fetches       uint64
 	ReadsServed   uint64 // certified-read probes answered from applied state
-	ReadsRefused  uint64 // probes answered with a signed refusal
+	ReadsRefused  uint64 // probes answered with an attested refusal
 	ShareProofs   uint64 // threshold share proofs computed for combiners that asked
 }
 
@@ -635,7 +626,7 @@ func (r *Replica) onProofRequest(from types.NodeID, m *wire.ProofRequest) {
 // makeCheckpoint snapshots application state plus the reply table and shares
 // a signed digest with the cluster (§3.3.2).
 func (r *Replica) makeCheckpoint(n types.SeqNum) {
-	payload := r.snapshot(n)
+	payload := r.snapshot()
 	digest := types.DigestBytes(payload)
 	r.ckptLocal[n] = payload
 	att, err := r.cfg.ExecAuth.Attest(auth.KindExecCheckpoint, wire.CheckpointDigest(n, digest), r.top.Execution)
@@ -773,21 +764,11 @@ func (r *Replica) persistStable(n types.SeqNum) {
 	}
 }
 
-// snapshot bounds the reply table and serializes the checkpoint payload for
-// sequence number n.
-func (r *Replica) snapshot(n types.SeqNum) []byte {
-	// Bound the reply table before snapshotting it. Checkpoint creation is
-	// a deterministic function of the executed log — unlike stability,
-	// which depends on message timing — so every correct replica prunes
-	// the same entries and digests still match.
-	if ret := r.cfg.ReplyRetention; ret > 0 {
-		for id, rs := range r.replies {
-			if rs.seq+ret < n {
-				delete(r.replies, id)
-				delete(r.lastOut, id)
-			}
-		}
-	}
+// snapshot serializes the checkpoint payload. The reply table is never
+// pruned: it holds one entry per client of the fixed client set, and an
+// entry dropped while its client still retransmits would let that
+// retransmission execute a second time.
+func (r *Replica) snapshot() []byte {
 	payload := r.marshalCheckpoint()
 	r.Metrics.Checkpoints++
 	r.om.checkpoints.Inc()
@@ -818,9 +799,8 @@ func (r *Replica) marshalCheckpoint() []byte {
 
 // restoreCheckpoint installs the checkpoint payload taken at sequence number
 // n. Coupled replicas used to write reply-table entries without their last
-// sequence number; that layout is tried second, its entries stamped n so
-// their retention counts from the restore point. Trailing bytes refuse
-// either layout.
+// sequence number; that layout is tried second, its entries stamped n.
+// Trailing bytes refuse either layout.
 func (r *Replica) restoreCheckpoint(n types.SeqNum, payload []byte) error {
 	for _, withSeq := range []bool{true, false} {
 		rd := wire.NewReader(payload)

@@ -62,7 +62,7 @@ func (c *capture) byType(mt wire.MsgType) []wire.Message {
 // world wires one execution replica with signature schemes for everyone.
 type world struct {
 	t       *testing.T
-	schemes map[types.NodeID]auth.Scheme
+	schemes map[types.NodeID]*auth.SigScheme
 	cap     *capture
 	r       *Replica
 	app     *counter.Counter
@@ -72,7 +72,7 @@ type world struct {
 func newWorld(t *testing.T, mutate func(*Config)) *world {
 	t.Helper()
 	dir := auth.NewDirectory(nil)
-	schemes := make(map[types.NodeID]auth.Scheme)
+	schemes := make(map[types.NodeID]*auth.SigScheme)
 	privs := make(map[types.NodeID]ed25519.PrivateKey)
 	for _, id := range top.AllNodes() {
 		var seedB [ed25519.SeedSize]byte

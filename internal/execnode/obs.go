@@ -47,7 +47,7 @@ func newExecMetrics(reg *obs.Registry, id types.NodeID) metrics {
 		readsServed: reg.Counter("saebft_exec_reads_served_total",
 			"certified-read probes answered from applied state", node),
 		readsRefused: reg.Counter("saebft_exec_reads_refused_total",
-			"certified-read probes answered with a signed refusal", node),
+			"certified-read probes answered with an attested refusal", node),
 		shareProofs: reg.Counter("saebft_exec_share_proofs_total",
 			"threshold share proofs computed because a combiner asked (zero while no executor lies)", node),
 		applyLag: reg.Histogram("saebft_exec_apply_seconds",

@@ -75,38 +75,3 @@ func TestMakeStablePrunesBelowWatermark(t *testing.T) {
 		t.Fatalf("reply table has %d entries, want 3", len(w.r.replies))
 	}
 }
-
-// TestCheckpointPrunesIdleReplyEntries: the exactly-once reply table is
-// bounded by ReplyRetention, pruned at checkpoint creation — a point that
-// is a deterministic function of the executed log — so every correct
-// replica prunes identically and checkpoint digests keep matching.
-func TestCheckpointPrunesIdleReplyEntries(t *testing.T) {
-	w := newWorld(t, func(c *Config) { c.ReplyRetention = 8 })
-	w.commit(1, []wire.Request{reqFrom(1001, 1, "inc")})
-	for n := types.SeqNum(2); n <= 8; n++ {
-		w.commit(n, []wire.Request{w.req("inc")})
-	}
-	if len(w.r.replies) != 2 {
-		t.Fatalf("reply table has %d entries mid-run, want 2", len(w.r.replies))
-	}
-	// Checkpoint at 12: client 1001's entry (last touched at seq 1,
-	// 1+8 < 12) has aged out; active client 1000 is retained.
-	for n := types.SeqNum(9); n <= 12; n++ {
-		w.commit(n, []wire.Request{w.req("inc")})
-	}
-	if len(w.r.replies) != 1 {
-		t.Fatalf("reply table has %d entries after retention checkpoint, want 1", len(w.r.replies))
-	}
-	if _, ok := w.r.replies[1000]; !ok {
-		t.Fatal("active client's reply entry was pruned")
-	}
-	if _, ok := w.r.lastOut[1001]; ok {
-		t.Fatal("idle client's bundle cache entry survived retention pruning")
-	}
-	// The pruned client's next request is fresh by definition now: it
-	// re-executes rather than crashing or answering from a ghost entry.
-	w.commit(13, []wire.Request{reqFrom(1001, 2, "inc")})
-	if w.app.Value() != 13 {
-		t.Fatalf("counter=%d after pruned client's fresh request, want 13", w.app.Value())
-	}
-}

@@ -25,9 +25,9 @@ var (
 	refusalNotReadOnly = []byte("read refused: operation is not read-only")
 	refusalNoQuerier   = []byte("read refused: application cannot answer queries")
 	refusalSealed      = []byte("read refused: sealed deployment")
-	// refusalBehindFloor is per-replica (the watermark in the signed digest
-	// differs), never certified: a reply below the requested floor does not
-	// count toward the read quorum regardless of its body.
+	// refusalBehindFloor is per-replica (the watermark in the attested
+	// digest differs), never certified: a reply below the requested floor
+	// does not count toward the read quorum regardless of its body.
 	refusalBehindFloor = []byte("read refused: applied state below requested floor")
 )
 
@@ -47,7 +47,7 @@ func (r *Replica) onReadRequest(m *wire.ReadRequest, now types.Time) {
 	if !ok || role != types.RoleClient || m.Att.Node != m.Client {
 		return
 	}
-	if r.cfg.ClientAuth == nil || r.cfg.ClientAuth.Verify(auth.KindReadRequest, m.Digest(), m.Att) != nil {
+	if r.cfg.ReadAuth == nil || r.cfg.ReadAuth.Verify(auth.KindReadRequest, m.Digest(), m.Att) != nil {
 		return
 	}
 	reply := &wire.ReadReply{
@@ -77,10 +77,10 @@ func (r *Replica) onReadRequest(m *wire.ReadRequest, now types.Time) {
 			reply.Body = body
 		}
 	}
-	// Read replies are signed with the replica's identity key (ExecAuth)
-	// in every reply mode: threshold shares cannot combine across replies
-	// that differ in their watermark, and a MAC vector would not transfer.
-	att, err := r.cfg.ExecAuth.Attest(auth.KindReadReply, reply.Digest(), []types.NodeID{m.Client})
+	// The answer is MAC'd for the asking client alone, in every reply mode:
+	// only that client consumes it, and threshold shares cannot combine
+	// across replies that differ in their watermark.
+	att, err := r.cfg.ReadAuth.Attest(auth.KindReadReply, reply.Digest(), []types.NodeID{m.Client})
 	if err != nil {
 		return
 	}

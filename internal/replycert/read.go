@@ -4,10 +4,16 @@ package replycert
 // replicas is certified by g+1 matching answers — a correct majority of the
 // 2g+1-replica cluster — computed from applied state at or above the
 // client's session floor. Unlike write certificates there is no single
-// bundle digest to attest: each replica signs its own answer together with
-// its applied watermark, and the client matches on the answer content
-// (wire.ReadReply.AnswerDigest) while enforcing the floor on the signed
+// bundle digest to attest: each replica attests its own answer together
+// with its applied watermark, and the client matches on the answer content
+// (wire.ReadReply.AnswerDigest) while enforcing the floor on the attested
 // watermarks individually.
+//
+// Each answer is MAC'd with the key its executor shares with the asking
+// client alone. No other executor and no other client holds that key, so
+// g+1 valid answers still come from g+1 distinct executors; and since a
+// read certificate is consumed only by the client that asked, it never has
+// to convince a third party.
 
 import (
 	"errors"
@@ -19,13 +25,14 @@ import (
 	"repro/internal/wire"
 )
 
-// ReadVerifier validates individual signed read replies.
+// ReadVerifier validates individual attested read replies.
 type ReadVerifier struct {
 	Quorum    int // g+1
 	Executors map[types.NodeID]bool
-	// Scheme verifies KindReadReply attestations. Read replies are always
-	// Ed25519-signed (the executors' identity keys), so any holder of the
-	// key directory can verify, regardless of the deployment's reply mode.
+	// Scheme is the client's half of the read hop: it attests the client's
+	// probes (KindReadRequest) and verifies the executors' answers
+	// (KindReadReply), in every reply mode. The system builds it from the
+	// pairwise MAC keys the client shares with each executor.
 	Scheme auth.Scheme
 }
 
@@ -40,7 +47,7 @@ func NewReadVerifier(top *types.Topology, scheme auth.Scheme) *ReadVerifier {
 }
 
 // VerifyReadReply checks one read reply in isolation: executor membership,
-// identity binding, and the signature over the answer + watermark.
+// identity binding, and the attestation over the answer + watermark.
 func (v *ReadVerifier) VerifyReadReply(m *wire.ReadReply) error {
 	if !v.Executors[m.Executor] {
 		return fmt.Errorf("%w: %v is not an executor", ErrInvalid, m.Executor)
@@ -60,8 +67,8 @@ func (v *ReadVerifier) VerifyReadReply(m *wire.ReadReply) error {
 // mismatches should fall back to full agreement (Invoke).
 var ErrReadMismatch = errors.New("replycert: read quorum mismatch")
 
-// ReadResult is a certified read: g+1 distinct executors signed this answer
-// from applied state at or above the floor.
+// ReadResult is a certified read: g+1 distinct executors attested this
+// answer from applied state at or above the floor.
 type ReadResult struct {
 	Body    []byte
 	Refused bool
@@ -72,7 +79,7 @@ type ReadResult struct {
 	Seq types.SeqNum
 }
 
-// ReadAssembler accumulates signed read replies for one probe (client,
+// ReadAssembler accumulates attested read replies for one probe (client,
 // nonce, floor) until g+1 match at or above the floor, or all 2g+1
 // executors have answered without such a quorum.
 type ReadAssembler struct {

@@ -1,10 +1,7 @@
 package replycert
 
 import (
-	"crypto/ed25519"
-	"crypto/sha256"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/auth"
@@ -12,34 +9,29 @@ import (
 	"repro/internal/wire"
 )
 
-// sigWorld builds Ed25519 identity schemes for every node over a shared
-// directory — the construction read replies are signed with.
-func sigWorld(t *testing.T) map[types.NodeID]*auth.SigScheme {
-	t.Helper()
-	all := testTop.AllNodes()
-	pubs := make(map[types.NodeID]ed25519.PublicKey, len(all))
-	privs := make(map[types.NodeID]ed25519.PrivateKey, len(all))
+const (
+	readClient = types.NodeID(1000)
+	readNonce  = types.Timestamp(7)
+	// otherClient is a second client: answers addressed to it must never
+	// certify readClient's read.
+	otherClient = types.NodeID(1001)
+)
+
+// readWorld builds pairwise-MAC schemes for every node of testTop plus
+// otherClient — the construction the system authenticates the read hop
+// with.
+func readWorld() map[types.NodeID]*auth.MACScheme {
+	all := append(testTop.AllNodes(), otherClient)
+	out := make(map[types.NodeID]*auth.MACScheme, len(all))
 	for _, id := range all {
-		seed := sha256.Sum256([]byte(fmt.Sprintf("read-test-%d", id)))
-		priv := ed25519.NewKeyFromSeed(seed[:])
-		privs[id] = priv
-		pubs[id] = priv.Public().(ed25519.PublicKey)
-	}
-	dir := auth.NewDirectory(pubs)
-	out := make(map[types.NodeID]*auth.SigScheme, len(all))
-	for _, id := range all {
-		out[id] = auth.NewSigScheme(id, privs[id], dir)
+		out[id] = auth.NewMACScheme(auth.NewKeyRing([]byte("read-test"), id, all))
 	}
 	return out
 }
 
-const (
-	readClient = types.NodeID(1000)
-	readNonce  = types.Timestamp(7)
-)
-
-// readReply builds one executor's signed answer.
-func readReply(t *testing.T, schemes map[types.NodeID]*auth.SigScheme, exec types.NodeID, seq types.SeqNum, body string, refused bool) *wire.ReadReply {
+// readReply builds one executor's answer to readClient's probe, MAC'd for
+// readClient.
+func readReply(t *testing.T, schemes map[types.NodeID]*auth.MACScheme, exec types.NodeID, seq types.SeqNum, body string, refused bool) *wire.ReadReply {
 	t.Helper()
 	m := &wire.ReadReply{
 		Client:     readClient,
@@ -49,17 +41,23 @@ func readReply(t *testing.T, schemes map[types.NodeID]*auth.SigScheme, exec type
 		Body:       []byte(body),
 		Executor:   exec,
 	}
-	att, err := schemes[exec].Attest(auth.KindReadReply, m.Digest(), []types.NodeID{readClient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Att = att
+	m.Att = attest(t, schemes[exec], m, readClient)
 	return m
 }
 
-func newReadWorld(t *testing.T, floor types.SeqNum) (map[types.NodeID]*auth.SigScheme, *ReadAssembler) {
+// attest MACs m's digest with scheme toward dests.
+func attest(t *testing.T, scheme *auth.MACScheme, m *wire.ReadReply, dests ...types.NodeID) auth.Attestation {
 	t.Helper()
-	schemes := sigWorld(t)
+	att, err := scheme.Attest(auth.KindReadReply, m.Digest(), dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return att
+}
+
+func newReadWorld(t *testing.T, floor types.SeqNum) (map[types.NodeID]*auth.MACScheme, *ReadAssembler) {
+	t.Helper()
+	schemes := readWorld()
 	v := NewReadVerifier(testTop, schemes[readClient])
 	if v.Quorum != 2 {
 		t.Fatalf("quorum = %d, want 2 (g+1 for 2g+1=3 executors)", v.Quorum)
@@ -165,13 +163,13 @@ func TestReadHintBelowQuorumFallsBackToFloor(t *testing.T) {
 func TestReadRejectsForgedAndForeignReplies(t *testing.T) {
 	schemes, a := newReadWorld(t, 0)
 
-	// Tampered body after signing.
+	// Tampered body after attesting.
 	m := readReply(t, schemes, 100, 5, "v", false)
 	m.Body = []byte("tampered")
 	if _, err := a.Add(m); err == nil {
 		t.Error("tampered reply accepted")
 	}
-	// Tampered watermark after signing (the signed digest covers it).
+	// Tampered watermark after attesting (the attested digest covers it).
 	m = readReply(t, schemes, 100, 5, "v", false)
 	m.AppliedSeq = 50
 	if _, err := a.Add(m); err == nil {
@@ -185,13 +183,32 @@ func TestReadRejectsForgedAndForeignReplies(t *testing.T) {
 	// Reply answering someone else's probe.
 	m = readReply(t, schemes, 100, 5, "v", false)
 	m.Nonce = readNonce + 1
-	att, err := schemes[100].Attest(auth.KindReadReply, m.Digest(), []types.NodeID{readClient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Att = att
+	m.Att = attest(t, schemes[100], m, readClient)
 	if _, err := a.Add(m); err == nil {
 		t.Error("reply for a different nonce accepted")
+	}
+	// Executor 101's MAC presented as executor 100's: only 100 and the
+	// client share the key that slot is checked with.
+	m = readReply(t, schemes, 100, 5, "v", false)
+	m.Att = attest(t, schemes[101], m, readClient)
+	m.Att.Node = 100
+	if _, err := a.Add(m); err == nil {
+		t.Error("executor 101's MAC accepted as executor 100's")
+	}
+	// An answer MAC'd for another client, relabelled and replayed: the
+	// other client's slot is not this client's.
+	m = readReply(t, schemes, 100, 5, "v", false)
+	m.Client = otherClient
+	m.Att = attest(t, schemes[100], m, otherClient)
+	m.Client = readClient
+	if _, err := a.Add(m); err == nil {
+		t.Error("answer MAC'd for another client accepted")
+	}
+	// A vector with slots for everyone but this client.
+	m = readReply(t, schemes, 100, 5, "v", false)
+	m.Att = attest(t, schemes[100], m, otherClient, 101, 102)
+	if _, err := a.Add(m); err == nil {
+		t.Error("vector with no slot for this client accepted")
 	}
 	// None of the rejects may have registered a reply.
 	if n := a.Replies(); n != 0 {

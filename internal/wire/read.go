@@ -79,10 +79,11 @@ func (m *ReadRequest) Digest() types.Digest {
 // deterministic, so g+1 matching refusals certify that the read must go
 // through full agreement instead.
 //
-// The attestation is always an Ed25519 signature (the replica's ExecAuth
-// identity key) regardless of the deployment's reply mode: threshold
-// signatures cannot combine across replies that differ in their watermark,
-// and MAC vectors would pin the reply to one destination.
+// The attestation is a MAC vector with one slot, for Client, in every reply
+// mode: the reply is sent only to the client that asked and consumed only
+// by it, so it never needs to convince a third party, and threshold
+// signatures could not combine across replies that differ in their
+// watermark.
 type ReadReply struct {
 	Client     types.NodeID
 	Nonce      types.Timestamp
@@ -116,7 +117,7 @@ func (m *ReadReply) unmarshalFrom(r *Reader) {
 	m.Att = getAtt(r)
 }
 
-// Digest covers everything the executor signs: the answer and the watermark
+// Digest covers everything the executor attests: the answer and the watermark
 // it was computed at, bound to the probe that asked.
 func (m *ReadReply) Digest() types.Digest {
 	return digestOf(func(w *Writer) {

@@ -277,7 +277,7 @@ func (h *Client) invokeSingle(ctx context.Context, rt clusterRuntime, idx int, o
 
 // ReadCertified serves one read-only operation through the certified fast
 // read path: the execution replicas answer directly from applied state — no
-// agreement round — and the reply is accepted once g+1 of them sign
+// agreement round — and the reply is accepted once g+1 of them attest
 // byte-identical answers computed at or above the handle's watermark, so
 // every Invoke previously completed through this handle is observed
 // (read-your-writes). When the fast path cannot certify — the replicas'

@@ -191,10 +191,13 @@ func TestSessionsIsolateReadFloors(t *testing.T) {
 // 256 concurrent read-only calls on the simulated transport must complete at
 // least 2x faster in virtual time through ReadCertified (one round trip to
 // the execution replicas) than through Invoke (the whole three-phase
-// protocol first), with every read certified on the fast path. (Measured
-// over 30 runs: 3.5x to 9.0x, median 5.7x. Invoke's agreement batches hold
-// a request from each of the 8 clients and close without waiting out the
-// batch timer, so the gap is the protocol's, not the timer's.)
+// protocol first), with every read certified on the fast path. (It
+// measures 3.4x in every run, on any GOMAXPROCS: virtualThroughput keeps
+// wall-clock goroutine scheduling off the virtual clock, and without
+// MeasureCompute the clock does not see the cost of authenticating either.
+// Invoke's agreement batches hold a request from each of the 8 clients and
+// close without waiting out the batch timer, so the gap is the protocol's,
+// not the timer's.)
 func TestCertifiedReadThroughputGain(t *testing.T) {
 	const n = 256
 	op := make([]byte, 128)

@@ -153,7 +153,7 @@ type Stats struct {
 	Reads          uint64 // certified-read probes issued by this process's clients
 	ReadsCertified uint64 // probes that assembled a g+1 matching quorum
 	ReadMismatches uint64 // probes every executor answered without such a quorum
-	BadReadReplies uint64 // read replies clients rejected (signature, membership)
+	BadReadReplies uint64 // read replies clients rejected (MAC, membership)
 	ReadsServed    uint64 // reads answered by execution replicas in this process
 	ReadsRefused   uint64 // reads those replicas refused (not read-only, lagging, sealed)
 

@@ -28,9 +28,19 @@ func startSim(t *testing.T, opts ...Option) *Cluster {
 // virtualThroughput issues n calls back to back against a started
 // sim-transport cluster, so all n are in flight together, and returns their
 // completion rate over the virtual clock, which — unlike wall time — does
-// not depend on the machine.
+// not depend on the machine. Calls are admitted by goroutines in wall time,
+// and a driver that steps meanwhile runs the virtual clock through timer
+// ticks; so the driver stays parked until admission settles, and waits for
+// each finished call's successor (simRuntime.awaitFollowUps).
 func virtualThroughput(t *testing.T, c *Cluster, n int, issue func(context.Context) <-chan Result) float64 {
 	t.Helper()
+	sr, err := c.sim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.awaitFollowUps.Store(true)
+	defer sr.awaitFollowUps.Store(false)
+	sr.holdStepping.Store(true)
 	start, err := c.VirtualTime()
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +49,8 @@ func virtualThroughput(t *testing.T, c *Cluster, n int, issue func(context.Conte
 	for i := range results {
 		results[i] = issue(context.Background())
 	}
+	awaitAdmission(t, sr)
+	sr.holdStepping.Store(false)
 	for i, ch := range results {
 		if res := <-ch; res.Err != nil {
 			t.Fatalf("call %d: %v", i, res.Err)
@@ -52,6 +64,26 @@ func virtualThroughput(t *testing.T, c *Cluster, n int, issue func(context.Conte
 		t.Fatalf("virtual clock did not advance over %d calls", n)
 	}
 	return float64(n) / (end - start).Seconds()
+}
+
+// awaitAdmission waits, in wall time, until the parked driver holds calls
+// in flight and their number has stayed put for a few milliseconds.
+func awaitAdmission(t *testing.T, sr *simRuntime) {
+	t.Helper()
+	const settle = 5 * time.Millisecond
+	last, since := -1, time.Now()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+		active := 0
+		if err := sr.do(func() { active = sr.active }); err != nil {
+			t.Fatal(err)
+		}
+		if active != last {
+			last, since = active, time.Now()
+		} else if active > 0 && time.Since(since) >= settle {
+			return
+		}
+	}
+	t.Fatalf("admission did not settle in 10s (%d calls in flight)", last)
 }
 
 func TestSmokeAllModes(t *testing.T) {

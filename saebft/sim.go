@@ -86,6 +86,14 @@ type simRuntime struct {
 	// holdStepping parks the driver without blocking admission; tests use
 	// it to observe a deterministic number of in-flight requests.
 	holdStepping atomic.Bool
+	// awaitFollowUps makes the driver wait briefly, after a call ends
+	// while others are in flight, for its caller's next call. The hand-off
+	// crosses goroutines, and stepping meanwhile runs the virtual clock
+	// through timer ticks for as long as it takes in wall time, so a path
+	// that is cheaper to simulate would measure slower in virtual time.
+	// Tests that time concurrent callers on the virtual clock set it; it
+	// costs wall-clock throughput, so nothing else does.
+	awaitFollowUps atomic.Bool
 }
 
 func (r *simRuntime) loop() {
@@ -116,7 +124,18 @@ func (r *simRuntime) loop() {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
+		before := r.active
 		r.c.Net.Step()
+		if r.active < before && r.active > 0 && r.awaitFollowUps.Load() {
+			// A call just ended: give its caller up to a millisecond
+			// of wall time to submit the next one.
+			select {
+			case <-r.quit:
+			case fn := <-r.posts:
+				fn(r.c.Net.Now())
+			case <-time.After(time.Millisecond):
+			}
+		}
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // SimDeterminism polices the replica-determinism contract in the consensus
-// packages (pbft, execnode, sm, wire, replycert, threshold): agreement needs
-// 2f+1 — and execution g+1 — independently computed digests to match
-// bit-for-bit, so nothing on those paths may read a wall clock, draw from a
-// shared random source, or serialize map contents in Go's randomized
-// iteration order. Three patterns are flagged:
+// packages (pbft, execnode, checkpoint, sm, wire, replycert, threshold):
+// agreement needs 2f+1 — and execution g+1 — independently computed digests
+// to match bit-for-bit, so nothing on those paths may read a wall clock,
+// draw from a shared random source, or serialize map contents in Go's
+// randomized iteration order. Three patterns are flagged:
 //
 //   - time.Now: replicas act on the protocol clock (types.Time handed to
 //     Receive/Tick) and on the primary's agreed nondeterminism, never on
@@ -40,7 +40,7 @@ var SimDeterminism = &Analyzer{
 }
 
 func runSimDeterminism(p *Pass) {
-	if !baseIn(p.Path, "pbft", "execnode", "sm", "wire", "replycert", "threshold") {
+	if !baseIn(p.Path, "pbft", "execnode", "checkpoint", "sm", "wire", "replycert", "threshold") {
 		return
 	}
 	for _, file := range p.Files {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"sync"
 
@@ -202,21 +203,25 @@ func (s *MACScheme) Attest(kind Kind, digest types.Digest, dests []types.NodeID)
 	if transferableOnly(kind) {
 		return Attestation{}, fmt.Errorf("%w: kind %d", ErrNonTransferable, kind)
 	}
-	sorted := make([]types.NodeID, 0, len(dests))
-	seen := make(map[types.NodeID]bool, len(dests))
-	for _, d := range dests {
-		if d == s.ring.self || seen[d] {
-			continue
-		}
-		seen[d] = true
-		sorted = append(sorted, d)
+	// Destination lists are almost always sorted and unique already (a
+	// topology row, or one client); only others need a sorted copy.
+	if !sortedUnique(dests) {
+		dests = slices.Clone(dests)
+		slices.Sort(dests)
+		dests = slices.Compact(dests)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slots := len(dests)
+	if _, self := slices.BinarySearch(dests, s.ring.self); self {
+		slots--
+	}
 
 	var scratch [sha256.Size]byte
-	proof := make([]byte, 0, 4+len(sorted)*(4+macSize))
-	proof = binary.BigEndian.AppendUint32(proof, uint32(len(sorted)))
-	for _, d := range sorted {
+	proof := make([]byte, 0, 4+slots*(4+macSize))
+	proof = binary.BigEndian.AppendUint32(proof, uint32(slots))
+	for _, d := range dests {
+		if d == s.ring.self {
+			continue
+		}
 		sum, ok := s.ring.mac(d, kind, digest, scratch[:])
 		if !ok {
 			return Attestation{}, fmt.Errorf("%w: %v", ErrUnknownNode, d)
@@ -225,6 +230,15 @@ func (s *MACScheme) Attest(kind Kind, digest types.Digest, dests []types.NodeID)
 		proof = append(proof, sum...)
 	}
 	return Attestation{Node: s.ring.self, Proof: proof}, nil
+}
+
+func sortedUnique(ids []types.NodeID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Verify locates this node's slot in the MAC vector and checks it.

@@ -1,7 +1,11 @@
 package auth
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +89,56 @@ func TestMACVectorDeduplicatesAndSkipsSelf(t *testing.T) {
 	// vector header(4) + one slot (4 + 16)
 	if len(att.Proof) != 4+4+16 {
 		t.Errorf("proof len = %d, want one deduplicated slot", len(att.Proof))
+	}
+}
+
+// referenceMACVector is MACScheme.Attest's original encoding — a deduped,
+// sorted copy of the destinations without self, one slot each — kept to pin
+// the proof bytes.
+func referenceMACVector(s *MACScheme, kind Kind, d types.Digest, dests []types.NodeID) []byte {
+	seen := make(map[types.NodeID]bool)
+	var sorted []types.NodeID
+	for _, id := range dests {
+		if id != s.ring.self && !seen[id] {
+			seen[id] = true
+			sorted = append(sorted, id)
+		}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var scratch [32]byte
+	proof := binary.BigEndian.AppendUint32(nil, uint32(len(sorted)))
+	for _, id := range sorted {
+		sum, _ := s.ring.mac(id, kind, d, scratch[:])
+		proof = binary.BigEndian.AppendUint32(proof, uint32(int32(id)))
+		proof = append(proof, sum...)
+	}
+	return proof
+}
+
+func TestMACAttestMatchesReferenceEncoding(t *testing.T) {
+	s := macSchemes(t, 1, 2, 3, 4, 5, 1000)
+	d := types.DigestBytes([]byte("x"))
+	for _, dests := range [][]types.NodeID{
+		{2, 3, 4},          // sorted, unique
+		{4, 2, 5, 3},       // shuffled
+		{3, 2, 3, 4, 2, 2}, // duplicates
+		{1, 2, 3, 4},       // sorted with the self slot
+		{5, 1, 1000, 2, 1}, // shuffled, self repeated
+		{1},                // self only
+		{1000},             // one client
+		nil,
+	} {
+		in := slices.Clone(dests)
+		att, err := s[1].Attest(KindReply, d, dests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceMACVector(s[1], KindReply, d, dests); !bytes.Equal(att.Proof, want) {
+			t.Errorf("dests %v: proof %x, want %x", dests, att.Proof, want)
+		}
+		if !slices.Equal(dests, in) {
+			t.Errorf("Attest reordered the caller's destinations: %v, was %v", dests, in)
+		}
 	}
 }
 

@@ -23,10 +23,11 @@ package execnode
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/auth"
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/replycert"
 	"repro/internal/seal"
@@ -170,12 +171,9 @@ type Replica struct {
 	replies map[types.NodeID]*replyState
 	lastOut map[types.NodeID]*sentShare // last bundle share per client
 
-	// checkpoints
-	ckptVotes  map[types.SeqNum]map[types.NodeID]wire.ExecCheckpoint
-	ckptLocal  map[types.SeqNum][]byte // payloads of local checkpoints
-	stableSeq  types.SeqNum
-	stableDig  types.Digest
-	stableAtts []auth.Attestation
+	// checkpoints: g+1 matching attestations prove stability — at least
+	// one is from a correct replica, and correct replicas agree.
+	ckpt *checkpoint.Tracker
 
 	// gap filling
 	fetchDeadline types.Time
@@ -227,23 +225,38 @@ func New(cfg Config, app sm.StateMachine, send transport.Sender) (*Replica, erro
 	if role == types.RoleAgreement && len(cfg.ReplyDests) > 0 {
 		return nil, fmt.Errorf("execnode: coupled replica %v replies to clients only", cfg.ID)
 	}
-	return &Replica{
-		cfg:       cfg,
-		send:      send,
-		top:       top,
-		app:       app,
-		f:         top.F(),
-		g:         top.G(),
-		pending:   make(map[types.SeqNum]*orderAccum),
-		proofs:    make(map[types.SeqNum]*wire.OrderProof),
-		replies:   make(map[types.NodeID]*replyState),
-		lastOut:   make(map[types.NodeID]*sentShare),
-		ckptVotes: make(map[types.SeqNum]map[types.NodeID]wire.ExecCheckpoint),
-		ckptLocal: make(map[types.SeqNum][]byte),
-		om:        newExecMetrics(cfg.Obs, cfg.ID),
-		trace:     cfg.Trace,
-	}, nil
+	r := &Replica{
+		cfg:     cfg,
+		send:    send,
+		top:     top,
+		app:     app,
+		f:       top.F(),
+		g:       top.G(),
+		pending: make(map[types.SeqNum]*orderAccum),
+		proofs:  make(map[types.SeqNum]*wire.OrderProof),
+		replies: make(map[types.NodeID]*replyState),
+		lastOut: make(map[types.NodeID]*sentShare),
+		om:      newExecMetrics(cfg.Obs, cfg.ID),
+		trace:   cfg.Trace,
+	}
+	r.ckpt = checkpoint.New(execAuth{&r.cfg}, auth.KindExecCheckpoint, top.Execution, top.G()+1)
+	return r, nil
 }
+
+// execAuth is Config.ExecAuth as the checkpoint tracker uses it, read at
+// each call: the package's tests install a replica's signing identity
+// after New.
+type execAuth struct{ cfg *Config }
+
+func (a execAuth) Attest(kind auth.Kind, d types.Digest, dests []types.NodeID) (auth.Attestation, error) {
+	return a.cfg.ExecAuth.Attest(kind, d, dests)
+}
+
+func (a execAuth) Verify(kind auth.Kind, d types.Digest, att auth.Attestation) error {
+	return a.cfg.ExecAuth.Verify(kind, d, att)
+}
+
+func (a execAuth) Transferable() bool { return true }
 
 // MaxN returns the highest executed sequence number.
 func (r *Replica) MaxN() types.SeqNum { return r.maxN }
@@ -254,7 +267,7 @@ func (r *Replica) MaxN() types.SeqNum { return r.maxN }
 func (r *Replica) StorageErr() error { return r.storeErr }
 
 // StableSeq returns the latest stable checkpoint sequence number.
-func (r *Replica) StableSeq() types.SeqNum { return r.stableSeq }
+func (r *Replica) StableSeq() types.SeqNum { return r.ckpt.Stable().Seq }
 
 // Deliver implements transport.Node.
 func (r *Replica) Deliver(from types.NodeID, data []byte, now types.Time) {
@@ -279,7 +292,9 @@ func (r *Replica) Receive(from types.NodeID, msg wire.Message, now types.Time) {
 	case *wire.StableProof:
 		r.onStableProof(m, now)
 	case *wire.CheckpointFetch:
-		r.onCheckpointFetch(m, now)
+		if data := r.ckpt.Serve(from, m); data != nil {
+			r.send(from, data)
+		}
 	case *wire.CheckpointData:
 		r.onCheckpointData(m, now)
 	case *wire.ReadRequest:
@@ -315,16 +330,7 @@ func (r *Replica) onOrder(m *wire.Order, now types.Time) {
 		if r.cfg.OrderAuth.Verify(auth.KindOrder, od, m.Att) != nil {
 			return
 		}
-		if acc == nil {
-			acc = &orderAccum{byDigest: make(map[types.Digest]*orderCand), firstSeen: now}
-			r.pending[m.Seq] = acc
-			r.om.queueDepth.Set(int64(len(r.pending)))
-		}
-		cand := acc.byDigest[od]
-		if cand == nil {
-			cand = &orderCand{order: m, atts: make(map[types.NodeID]auth.Attestation)}
-			acc.byDigest[od] = cand
-		}
+		cand := r.candidate(m.Seq, od, m, now)
 		cand.atts[m.Replica] = m.Att
 		if len(cand.atts) >= 2*r.f+1 {
 			r.completeOrder(m.Seq, cand, now)
@@ -354,24 +360,28 @@ func (r *Replica) onOrderProof(m *wire.OrderProof, now types.Time) {
 	if auth.CountDistinct(r.cfg.OrderAuth, auth.KindOrder, od, m.Atts, allowed) < 2*r.f+1 {
 		return
 	}
-	acc := r.pending[m.Seq]
-	if acc == nil {
-		acc = &orderAccum{byDigest: make(map[types.Digest]*orderCand), firstSeen: now}
-		r.pending[m.Seq] = acc
-		r.om.queueDepth.Set(int64(len(r.pending)))
-	}
-	cand := acc.byDigest[od]
-	if cand == nil {
-		cand = &orderCand{
-			order: &wire.Order{View: m.View, Seq: m.Seq, ND: m.ND, Requests: m.Requests},
-			atts:  make(map[types.NodeID]auth.Attestation),
-		}
-		acc.byDigest[od] = cand
-	}
+	cand := r.candidate(m.Seq, od, &wire.Order{View: m.View, Seq: m.Seq, ND: m.ND, Requests: m.Requests}, now)
 	for _, a := range m.Atts {
 		cand.atts[a.Node] = a
 	}
 	r.completeOrder(m.Seq, cand, now)
+}
+
+// candidate returns the accumulated certificate for order digest od at
+// sequence number n, starting it with order's bodies if it is new.
+func (r *Replica) candidate(n types.SeqNum, od types.Digest, order *wire.Order, now types.Time) *orderCand {
+	acc := r.pending[n]
+	if acc == nil {
+		acc = &orderAccum{byDigest: make(map[types.Digest]*orderCand), firstSeen: now}
+		r.pending[n] = acc
+		r.om.queueDepth.Set(int64(len(r.pending)))
+	}
+	cand := acc.byDigest[od]
+	if cand == nil {
+		cand = &orderCand{order: order, atts: make(map[types.NodeID]auth.Attestation)}
+		acc.byDigest[od] = cand
+	}
+	return cand
 }
 
 // completeOrder stores the proven certificate and executes in order.
@@ -380,12 +390,7 @@ func (r *Replica) completeOrder(n types.SeqNum, cand *orderCand, now types.Time)
 		return
 	}
 	atts := make([]auth.Attestation, 0, len(cand.atts))
-	ids := make([]types.NodeID, 0, len(cand.atts))
-	for id := range cand.atts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(cand.atts)) {
 		atts = append(atts, cand.atts[id])
 	}
 	r.proofs[n] = &wire.OrderProof{
@@ -628,96 +633,30 @@ func (r *Replica) onProofRequest(from types.NodeID, m *wire.ProofRequest) {
 func (r *Replica) makeCheckpoint(n types.SeqNum) {
 	payload := r.snapshot()
 	digest := types.DigestBytes(payload)
-	r.ckptLocal[n] = payload
-	att, err := r.cfg.ExecAuth.Attest(auth.KindExecCheckpoint, wire.CheckpointDigest(n, digest), r.top.Execution)
+	r.ckpt.Keep(n, digest, payload)
+	att, stable, err := r.ckpt.Attest(n, digest)
 	if err != nil {
 		return
 	}
-	cm := wire.ExecCheckpoint{Seq: n, State: digest, Executor: r.cfg.ID, Att: att}
-	r.recordCheckpointVote(cm)
-	data := wire.Marshal(&cm)
-	for _, id := range r.top.Execution {
-		if id != r.cfg.ID {
-			r.send(id, data)
-		}
+	if stable {
+		r.makeStable()
 	}
+	r.broadcastExec(wire.Marshal(&wire.ExecCheckpoint{Seq: n, State: digest, Executor: r.cfg.ID, Att: att}))
 }
 
 func (r *Replica) onCheckpoint(m *wire.ExecCheckpoint, now types.Time) {
-	if m.Seq <= r.stableSeq || m.Executor != m.Att.Node {
-		return
-	}
-	role, _, ok := r.top.RoleOf(m.Executor)
-	if !ok || role != types.RoleExecution {
-		return
-	}
-	if r.cfg.ExecAuth.Verify(auth.KindExecCheckpoint, wire.CheckpointDigest(m.Seq, m.State), m.Att) != nil {
-		return
-	}
-	r.recordCheckpointVote(*m)
-}
-
-func (r *Replica) recordCheckpointVote(m wire.ExecCheckpoint) {
-	votes := r.ckptVotes[m.Seq]
-	if votes == nil {
-		votes = make(map[types.NodeID]wire.ExecCheckpoint)
-		r.ckptVotes[m.Seq] = votes
-	}
-	votes[m.Executor] = m
-	count := 0
-	for _, v := range votes {
-		if v.State == m.State {
-			count++
-		}
-	}
-	// g+1 matching digests prove stability: at least one is from a
-	// correct replica, and correct replicas agree.
-	if count >= r.g+1 {
-		r.makeStable(m.Seq, m.State, votes)
+	if r.ckpt.Add(m.Executor, m.Seq, m.State, m.Att) {
+		r.makeStable()
 	}
 }
 
-func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[types.NodeID]wire.ExecCheckpoint) {
-	if n <= r.stableSeq {
-		return
-	}
-	atts := make([]auth.Attestation, 0, r.g+1)
-	ids := make([]types.NodeID, 0, len(votes))
-	for id, v := range votes {
-		if v.State == digest {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		atts = append(atts, votes[id].Att)
-	}
-	r.stableSeq = n
-	r.stableDig = digest
-	r.stableAtts = atts
+// makeStable acts on a checkpoint the tracker just made stable (§3.3.2):
+// garbage-collect, persist, and state-transfer if execution lags behind it.
+func (r *Replica) makeStable() {
+	n := r.ckpt.Stable().Seq
 	r.om.stableSeq.Set(int64(n))
-	// Garbage collection (§3.3.2): older certificates, checkpoints, votes.
-	for seq := range r.proofs {
-		if seq <= n {
-			delete(r.proofs, seq)
-		}
-	}
-	for seq := range r.pending {
-		if seq <= n {
-			delete(r.pending, seq)
-		}
-	}
-	r.om.queueDepth.Set(int64(len(r.pending)))
-	for seq := range r.ckptVotes {
-		if seq <= n {
-			delete(r.ckptVotes, seq)
-		}
-	}
-	for seq := range r.ckptLocal {
-		if seq < n {
-			delete(r.ckptLocal, seq)
-		}
-	}
+	// Garbage collection (§3.3.2): older certificates and accumulators.
+	r.dropThrough(n)
 	// Last-reply-share cache entries strictly below the watermark can no
 	// longer be demanded by agreement-cluster retransmissions that matter:
 	// a client still waiting on one would drive a fresh proposal, which
@@ -731,13 +670,26 @@ func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[type
 	// let the WAL shed segments the checkpoint supersedes.
 	r.persistStable(n)
 	// If stability ran ahead of local execution we must state-transfer.
-	if r.maxN < n {
-		if _, ok := r.ckptLocal[n]; !ok {
-			r.Metrics.StateTransfer++
-			r.om.stateTransfers.Inc()
-			r.broadcastExec(wire.Marshal(&wire.CheckpointFetch{Seq: n, Executor: r.cfg.ID}))
+	if r.maxN < n && r.ckpt.Local(n) == nil {
+		r.Metrics.StateTransfer++
+		r.om.stateTransfers.Inc()
+		r.broadcastExec(wire.Marshal(&wire.CheckpointFetch{Seq: n, Executor: r.cfg.ID}))
+	}
+}
+
+// dropThrough releases order certificates and accumulators at or below n.
+func (r *Replica) dropThrough(n types.SeqNum) {
+	for seq := range r.proofs {
+		if seq <= n {
+			delete(r.proofs, seq)
 		}
 	}
+	for seq := range r.pending {
+		if seq <= n {
+			delete(r.pending, seq)
+		}
+	}
+	r.om.queueDepth.Set(int64(len(r.pending)))
 }
 
 // persistStable writes the stable checkpoint (payload + g+1 attestation
@@ -745,16 +697,17 @@ func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[type
 // segments it supersedes. Safe to call repeatedly; the store dedups by
 // sequence number.
 func (r *Replica) persistStable(n types.SeqNum) {
-	if r.cfg.Store == nil || r.storeErr != nil || n != r.stableSeq {
+	c := r.ckpt.Stable()
+	if r.cfg.Store == nil || r.storeErr != nil || n != c.Seq {
 		return
 	}
-	payload, ok := r.ckptLocal[n]
-	if !ok {
+	payload := r.ckpt.Local(n)
+	if payload == nil {
 		return // state ran ahead; onCheckpointData persists once fetched
 	}
-	proof := wire.Marshal(&wire.StableProof{Seq: n, State: r.stableDig, Atts: r.stableAtts})
+	proof := wire.Marshal(&wire.StableProof{Seq: n, State: c.Digest, Atts: c.Atts})
 	err := r.cfg.Store.SaveCheckpoint(storage.Checkpoint{
-		Seq: n, Digest: r.stableDig, Proof: proof, Payload: payload,
+		Seq: n, Digest: c.Digest, Proof: proof, Payload: payload,
 	})
 	if err == nil {
 		err = r.cfg.Store.Prune(n)
@@ -764,36 +717,26 @@ func (r *Replica) persistStable(n types.SeqNum) {
 	}
 }
 
-// snapshot serializes the checkpoint payload. The reply table is never
-// pruned: it holds one entry per client of the fixed client set, and an
-// entry dropped while its client still retransmits would let that
-// retransmission execute a second time.
+// snapshot serializes the checkpoint payload, canonically: app state, then
+// the reply table in client order. The reply table is never pruned: it
+// holds one entry per client of the fixed client set, and an entry dropped
+// while its client still retransmits would let that retransmission execute
+// a second time.
 func (r *Replica) snapshot() []byte {
-	payload := r.marshalCheckpoint()
-	r.Metrics.Checkpoints++
-	r.om.checkpoints.Inc()
-	r.om.ckptBytes.Observe(float64(len(payload)))
-	r.om.replyCache.Set(int64(len(r.replies)))
-	return payload
-}
-
-// marshalCheckpoint serializes app state + reply table, canonically.
-func (r *Replica) marshalCheckpoint() []byte {
 	var w wire.Writer
 	w.Bytes(r.app.Checkpoint())
-	ids := make([]types.NodeID, 0, len(r.replies))
-	for id := range r.replies {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Len(len(ids))
-	for _, id := range ids {
+	w.Len(len(r.replies))
+	for _, id := range slices.Sorted(maps.Keys(r.replies)) {
 		rs := r.replies[id]
 		w.Node(id)
 		w.TS(rs.timestamp)
 		w.Seq(rs.seq)
 		w.Bytes(rs.body)
 	}
+	r.Metrics.Checkpoints++
+	r.om.checkpoints.Inc()
+	r.om.ckptBytes.Observe(float64(len(w.B)))
+	r.om.replyCache.Set(int64(len(r.replies)))
 	return w.B
 }
 
@@ -859,69 +802,33 @@ func (r *Replica) onFetchMissing(m *wire.FetchMissing, now types.Time) {
 	}
 	// The certificate is gone; if a newer checkpoint is provably stable,
 	// point the peer at it (§3.3.1).
-	if r.stableSeq >= m.Seq && len(r.stableAtts) > 0 {
-		sp := &wire.StableProof{Seq: r.stableSeq, State: r.stableDig, Atts: r.stableAtts}
-		r.send(m.Executor, wire.Marshal(sp))
+	if c := r.ckpt.Stable(); c.Seq >= m.Seq && len(c.Atts) > 0 {
+		r.send(m.Executor, wire.Marshal(&wire.StableProof{Seq: c.Seq, State: c.Digest, Atts: c.Atts}))
 	}
 }
 
 func (r *Replica) onStableProof(m *wire.StableProof, now types.Time) {
-	if m.Seq <= r.maxN {
-		return
-	}
-	allowed := make(map[types.NodeID]bool)
-	for _, id := range r.top.Execution {
-		allowed[id] = true
-	}
-	cd := wire.CheckpointDigest(m.Seq, m.State)
-	if auth.CountDistinct(r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, m.Atts, allowed) < r.g+1 {
+	cert := checkpoint.Cert{Seq: m.Seq, Digest: m.State, Atts: m.Atts}
+	if m.Seq <= r.maxN || !r.ckpt.Verify(cert) {
 		return
 	}
 	// Adopt the proof and fetch the payload.
-	if m.Seq > r.stableSeq {
-		r.stableSeq = m.Seq
-		r.stableDig = m.State
-		r.stableAtts = m.Atts
-	}
+	r.ckpt.Install(cert)
 	r.Metrics.StateTransfer++
 	r.broadcastExec(wire.Marshal(&wire.CheckpointFetch{Seq: m.Seq, Executor: r.cfg.ID}))
 }
 
-func (r *Replica) onCheckpointFetch(m *wire.CheckpointFetch, now types.Time) {
-	role, _, ok := r.top.RoleOf(m.Executor)
-	if !ok || role != types.RoleExecution {
-		return
-	}
-	if payload, ok := r.ckptLocal[m.Seq]; ok {
-		r.send(m.Executor, wire.Marshal(&wire.CheckpointData{
-			Seq: m.Seq, State: types.DigestBytes(payload), Payload: payload,
-		}))
-	}
-}
-
 func (r *Replica) onCheckpointData(m *wire.CheckpointData, now types.Time) {
-	if m.Seq <= r.maxN || m.Seq != r.stableSeq || m.State != r.stableDig {
+	if m.Seq <= r.maxN {
 		return
 	}
-	if types.DigestBytes(m.Payload) != m.State {
+	// The tracker admits only the payload of the stable checkpoint.
+	if !r.ckpt.Accept(m, func(payload []byte) error { return r.restoreCheckpoint(m.Seq, payload) }) {
 		return
 	}
-	if err := r.restoreCheckpoint(m.Seq, m.Payload); err != nil {
-		return
-	}
-	r.ckptLocal[m.Seq] = m.Payload
 	r.maxN = m.Seq
 	// Drop anything the checkpoint supersedes, then resume.
-	for seq := range r.proofs {
-		if seq <= m.Seq {
-			delete(r.proofs, seq)
-		}
-	}
-	for seq := range r.pending {
-		if seq <= m.Seq {
-			delete(r.pending, seq)
-		}
-	}
+	r.dropThrough(m.Seq)
 	// A state transfer that filled in the stable payload completes the
 	// deferred persist from makeStable.
 	r.persistStable(m.Seq)
@@ -948,34 +855,7 @@ func (r *Replica) Recover(now types.Time) error {
 	if err != nil {
 		return err
 	}
-	allowed := make(map[types.NodeID]bool, len(r.top.Execution))
-	for _, id := range r.top.Execution {
-		allowed[id] = true
-	}
-	for _, ck := range cks { // newest first; take the first that verifies
-		if types.DigestBytes(ck.Payload) != ck.Digest {
-			continue
-		}
-		msg, err := wire.Unmarshal(ck.Proof)
-		if err != nil {
-			continue
-		}
-		sp, ok := msg.(*wire.StableProof)
-		if !ok || sp.Seq != ck.Seq || sp.State != ck.Digest {
-			continue
-		}
-		cd := wire.CheckpointDigest(ck.Seq, ck.Digest)
-		if auth.CountDistinct(r.cfg.ExecAuth, auth.KindExecCheckpoint, cd, sp.Atts, allowed) < r.g+1 {
-			continue
-		}
-		if err := r.restoreCheckpoint(ck.Seq, ck.Payload); err != nil {
-			continue
-		}
-		r.maxN = ck.Seq
-		r.stableSeq, r.stableDig, r.stableAtts = ck.Seq, ck.Digest, sp.Atts
-		r.ckptLocal[ck.Seq] = ck.Payload
-		break
-	}
+	r.maxN = r.ckpt.Recover(cks, stableAtts, func(ck storage.Checkpoint) error { return r.restoreCheckpoint(ck.Seq, ck.Payload) })
 	// Replay the tail. Records are self-proving OrderProofs; feeding them
 	// through the untrusted receive path re-verifies every attestation, so
 	// a tampered WAL can stall recovery but never corrupt state. The
@@ -994,6 +874,16 @@ func (r *Replica) Recover(now types.Time) error {
 		}
 		return nil
 	})
+}
+
+// stableAtts reads the attestations a stored StableProof holds for its
+// checkpoint.
+func stableAtts(ck storage.Checkpoint) []auth.Attestation {
+	msg, _ := wire.Unmarshal(ck.Proof)
+	if sp, ok := msg.(*wire.StableProof); ok && sp.Seq == ck.Seq && sp.State == ck.Digest {
+		return sp.Atts
+	}
+	return nil
 }
 
 // Shutdown flushes and closes the store (graceful-exit path). The replica
@@ -1026,7 +916,7 @@ func (r *Replica) Tick(now types.Time) {
 	if _, haveNext := r.proofs[r.maxN+1]; haveNext {
 		gap = false
 	}
-	if gap || (r.stableSeq > r.maxN) {
+	if gap || r.ckpt.Stable().Seq > r.maxN {
 		r.requestMissing(now)
 	}
 }

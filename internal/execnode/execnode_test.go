@@ -494,7 +494,7 @@ func TestProofRequestForPrunedBundleIgnored(t *testing.T) {
 	for n := types.SeqNum(3); n <= 5; n++ {
 		w.commit(n, []wire.Request{reqFrom(1001, types.Timestamp(n), "inc")})
 	}
-	digest := types.DigestBytes(w.r.ckptLocal[4])
+	digest := types.DigestBytes(w.r.ckpt.Local(4))
 	w.vote(101, 4, digest)
 	w.vote(102, 4, digest)
 	if _, ok := w.r.lastOut[1000]; ok {

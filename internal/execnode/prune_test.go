@@ -41,11 +41,11 @@ func TestMakeStablePrunesBelowWatermark(t *testing.T) {
 	if len(w.r.lastOut) != 3 {
 		t.Fatalf("lastOut has %d entries before stability, want 3", len(w.r.lastOut))
 	}
-	if len(w.r.ckptVotes) == 0 {
+	if len(w.r.ckpt.Held()) == 0 {
 		t.Fatal("no checkpoint votes recorded for seq 4")
 	}
 	// Two peers agree with the local digest: the checkpoint becomes stable.
-	digest := types.DigestBytes(w.r.ckptLocal[4])
+	digest := types.DigestBytes(w.r.ckpt.Local(4))
 	w.vote(101, 4, digest)
 	w.vote(102, 4, digest)
 	if w.r.StableSeq() != 4 {
@@ -59,7 +59,7 @@ func TestMakeStablePrunesBelowWatermark(t *testing.T) {
 	if _, ok := w.r.lastOut[1000]; !ok {
 		t.Fatal("client 1000's at-watermark bundle was pruned")
 	}
-	for seq := range w.r.ckptVotes {
+	for _, seq := range w.r.ckpt.Held() {
 		if seq <= 4 {
 			t.Fatalf("checkpoint votes for seq %d survived stability", seq)
 		}

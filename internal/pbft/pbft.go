@@ -19,9 +19,11 @@ package pbft
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/auth"
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -196,24 +198,13 @@ type instance struct {
 // ordered digest in replica-ID order, so a commit certificate serializes
 // to the same bytes on every replica that holds the same votes.
 func (in *instance) commitAtts() []auth.Attestation {
-	ids := make([]types.NodeID, 0, len(in.commits))
-	for id, v := range in.commits {
-		if v.od == in.od {
-			ids = append(ids, id)
+	atts := make([]auth.Attestation, 0, len(in.commits))
+	for _, id := range slices.Sorted(maps.Keys(in.commits)) {
+		if v := in.commits[id]; v.od == in.od {
+			atts = append(atts, v.att)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	atts := make([]auth.Attestation, 0, len(ids))
-	for _, id := range ids {
-		atts = append(atts, in.commits[id].att)
-	}
 	return atts
-}
-
-// savedCheckpoint is a locally-produced checkpoint kept for serving peers.
-type savedCheckpoint struct {
-	digest  types.Digest
-	payload []byte
 }
 
 // votedSlot remembers the strongest vote this replica has sent for one
@@ -271,8 +262,7 @@ type Replica struct {
 	inViewChange bool
 	nextSeq      types.SeqNum // primary only: next sequence number to assign
 	lastExec     types.SeqNum
-	lastStable   types.SeqNum
-	stableProof  []wire.AgreeCheckpoint
+	lastStable   types.SeqNum // mirrors ckpt.Stable().Seq
 
 	insts      map[types.SeqNum]*instance
 	clients    map[types.NodeID]*clientState
@@ -283,10 +273,9 @@ type Replica struct {
 	ndClock    types.Timestamp // last nondeterministic timestamp accepted/proposed
 
 	// checkpointing
+	ckpt          *checkpoint.Tracker
 	syncing       bool
 	syncSeq       types.SeqNum
-	ckptVotes     map[types.SeqNum]map[types.NodeID]wire.AgreeCheckpoint
-	ckptLocal     map[types.SeqNum]savedCheckpoint
 	fetchingSeq   types.SeqNum
 	fetchDeadline types.Time
 	executing     bool       // reentrancy guard for executeReady
@@ -360,23 +349,25 @@ func New(cfg Config, app App, send transport.Sender) (*Replica, error) {
 		cfg.TransferAuth = ts
 	}
 	r := &Replica{
-		cfg:       cfg,
-		xmit:      send,
-		app:       app,
-		certAuth:  auth.SelfTrust(cfg.ReplicaAuth, cfg.ID),
-		top:       top,
-		f:         top.F(),
-		n:         len(top.Agreement),
-		idx:       idx,
-		insts:     make(map[types.SeqNum]*instance),
-		clients:   make(map[types.NodeID]*clientState),
-		voted:     make(map[types.SeqNum]votedSlot),
-		queued:    make(map[types.Digest]bool),
-		ckptVotes: make(map[types.SeqNum]map[types.NodeID]wire.AgreeCheckpoint),
-		ckptLocal: make(map[types.SeqNum]savedCheckpoint),
-		vcs:       make(map[types.View]map[types.NodeID]*wire.ViewChange),
-		om:        newPBFTMetrics(cfg.Obs, cfg.ID),
-		trace:     cfg.Trace,
+		cfg:      cfg,
+		xmit:     send,
+		app:      app,
+		certAuth: auth.SelfTrust(cfg.ReplicaAuth, cfg.ID),
+		top:      top,
+		f:        top.F(),
+		n:        len(top.Agreement),
+		idx:      idx,
+		insts:    make(map[types.SeqNum]*instance),
+		clients:  make(map[types.NodeID]*clientState),
+		voted:    make(map[types.SeqNum]votedSlot),
+		queued:   make(map[types.Digest]bool),
+		// Checkpoint-stability proofs are persisted, served to state-
+		// transferring peers, and embedded in view changes — transferable by
+		// construction, hence TransferAuth even when agreement votes are MACs.
+		ckpt:  checkpoint.New(cfg.TransferAuth, auth.KindAgreeCheckpoint, top.Agreement, 2*top.F()+1),
+		vcs:   make(map[types.View]map[types.NodeID]*wire.ViewChange),
+		om:    newPBFTMetrics(cfg.Obs, cfg.ID),
+		trace: cfg.Trace,
 	}
 	return r, nil
 }
@@ -661,16 +652,12 @@ func (r *Replica) preparedEntry(in *instance) *wire.PreparedEntry {
 		return nil
 	}
 	primary := r.top.Primary(in.view)
-	ids := make([]types.NodeID, 0, len(in.prepares))
-	for id, v := range in.prepares {
-		if id != primary && v.od == in.od {
-			ids = append(ids, id)
-		}
-	}
+	ids := slices.DeleteFunc(slices.Sorted(maps.Keys(in.prepares)), func(id types.NodeID) bool {
+		return id == primary || in.prepares[id].od != in.od
+	})
 	if len(ids) < 2*r.f {
 		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	prepares := make([]auth.Attestation, 0, 2*r.f)
 	for _, id := range ids[:2*r.f] {
 		prepares = append(prepares, in.prepares[id].att)
@@ -723,7 +710,9 @@ func (r *Replica) Receive(from types.NodeID, msg wire.Message, now types.Time) {
 	case *wire.CommitProof:
 		r.onCommitProof(m, now)
 	case *wire.CheckpointFetch:
-		r.onCheckpointFetch(m, from, now)
+		if data := r.ckpt.Serve(from, m); data != nil {
+			r.send(from, data)
+		}
 	case *wire.CheckpointData:
 		r.onCheckpointData(m, now)
 	case *wire.ExecReply, *wire.ReplyCert:
@@ -1257,7 +1246,7 @@ func (r *Replica) completeCheckpoint(n types.SeqNum, digest types.Digest, payloa
 	// transferred replica needs it to avoid re-ordering old requests.
 	payload = r.wrapCheckpoint(payload)
 	digest = types.DigestBytes(payload)
-	r.ckptLocal[n] = savedCheckpoint{digest: digest, payload: payload}
+	r.ckpt.Keep(n, digest, payload)
 	r.Metrics.Checkpoints++
 	r.om.checkpoints.Inc()
 	observeSince(r.om.ckptSecs, r.ckptBegan, r.now)
@@ -1266,79 +1255,41 @@ func (r *Replica) completeCheckpoint(n types.SeqNum, digest types.Digest, payloa
 	if n == r.lastStable {
 		r.persistStable(n)
 	}
-	// Checkpoint-stability proofs are persisted, served to state-
-	// transferring peers, and embedded in view changes — transferable by
-	// construction, hence TransferAuth even when agreement votes are MACs.
-	att, err := r.cfg.TransferAuth.Attest(auth.KindAgreeCheckpoint, wire.CheckpointDigest(n, digest), r.top.Agreement)
+	att, stable, err := r.ckpt.Attest(n, digest)
 	if err != nil {
 		return
 	}
-	cm := wire.AgreeCheckpoint{Seq: n, State: digest, Replica: r.cfg.ID, Att: att}
-	r.recordCheckpointVote(cm)
-	r.broadcast(wire.Marshal(&cm))
+	if stable {
+		r.makeStable()
+	}
+	r.broadcast(wire.Marshal(&wire.AgreeCheckpoint{Seq: n, State: digest, Replica: r.cfg.ID, Att: att}))
 	// Execution resumed: catch up on anything committed meanwhile.
 	r.executeReady(r.now)
 	r.maybePropose(r.now)
 }
 
 func (r *Replica) onCheckpoint(m *wire.AgreeCheckpoint, now types.Time) {
-	if m.Seq <= r.lastStable || m.Replica != m.Att.Node {
-		return
-	}
-	if role, _, ok := r.top.RoleOf(m.Replica); !ok || role != types.RoleAgreement {
-		return
-	}
-	if r.cfg.TransferAuth.Verify(auth.KindAgreeCheckpoint, wire.CheckpointDigest(m.Seq, m.State), m.Att) != nil {
-		return
-	}
-	r.recordCheckpointVote(*m)
-}
-
-func (r *Replica) recordCheckpointVote(m wire.AgreeCheckpoint) {
-	votes := r.ckptVotes[m.Seq]
-	if votes == nil {
-		votes = make(map[types.NodeID]wire.AgreeCheckpoint)
-		r.ckptVotes[m.Seq] = votes
-	}
-	votes[m.Replica] = m
-	// Count matching digests.
-	count := 0
-	for _, v := range votes {
-		if v.State == m.State {
-			count++
-		}
-	}
-	if count >= 2*r.f+1 {
-		r.makeStable(m.Seq, m.State, votes)
+	if r.ckpt.Add(m.Replica, m.Seq, m.State, m.Att) {
+		r.makeStable()
 	}
 }
 
-// makeStable installs a stable checkpoint and garbage-collects the log.
-func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[types.NodeID]wire.AgreeCheckpoint) {
-	if n <= r.lastStable {
-		return
-	}
-	proof := make([]wire.AgreeCheckpoint, 0, 2*r.f+1)
-	for _, v := range votes {
-		if v.State == digest {
-			proof = append(proof, v)
-		}
-	}
-	// Canonical proof order: the set is persisted and served to lagging
-	// peers, so its bytes must not depend on map iteration order.
-	sort.Slice(proof, func(i, j int) bool { return proof[i].Replica < proof[j].Replica })
+// makeStable acts on a checkpoint the tracker just made stable: persist it,
+// state-transfer if execution lags behind it, and garbage-collect the log.
+func (r *Replica) makeStable() {
+	n := r.ckpt.Stable().Seq
 	r.lastStable = n
-	r.stableProof = proof
 	r.om.lastStable.Set(int64(n))
 	r.span(r.now, obs.StageCheckpoint, n, "stable")
 	// Durability: persist the stable checkpoint with its vote set, then
 	// let the WAL shed segments it supersedes.
 	r.persistStable(n)
-	// If we fell behind (stable point ahead of execution), state-transfer.
-	if r.lastExec < n {
-		if _, ok := r.ckptLocal[n]; !ok {
-			r.requestStateTransfer(n, digest)
-		}
+	// If we fell behind (stable point ahead of execution), state-transfer:
+	// ask everyone; the first valid payload wins.
+	if r.lastExec < n && r.ckpt.Local(n) == nil && r.fetchingSeq < n {
+		r.fetchingSeq = n
+		r.fetchDeadline = r.now + r.cfg.ViewChangeResend
+		r.broadcast(wire.Marshal(&wire.CheckpointFetch{Seq: n, Executor: r.cfg.ID}))
 	}
 	for seq := range r.insts {
 		if seq <= n {
@@ -1354,16 +1305,30 @@ func (r *Replica) makeStable(n types.SeqNum, digest types.Digest, votes map[type
 			delete(r.voted, seq)
 		}
 	}
-	for seq := range r.ckptVotes {
-		if seq <= n {
-			delete(r.ckptVotes, seq)
+}
+
+// agreeProof rebuilds the wire form of a stable certificate: one
+// AgreeCheckpoint per attestation, as its voter broadcast it (onCheckpoint
+// admits only votes whose Replica is their attestation's node).
+func agreeProof(c checkpoint.Cert) []wire.AgreeCheckpoint {
+	proof := make([]wire.AgreeCheckpoint, len(c.Atts))
+	for i, att := range c.Atts {
+		proof[i] = wire.AgreeCheckpoint{Seq: c.Seq, State: c.Digest, Replica: att.Node, Att: att}
+	}
+	return proof
+}
+
+// agreeAtts reads the attestations a stored agreement proof holds for its
+// checkpoint.
+func agreeAtts(ck storage.Checkpoint) []auth.Attestation {
+	votes, _ := wire.DecodeAgreeProof(ck.Proof)
+	var atts []auth.Attestation
+	for _, v := range votes {
+		if v.Seq == ck.Seq && v.State == ck.Digest {
+			atts = append(atts, v.Att)
 		}
 	}
-	for seq := range r.ckptLocal {
-		if seq < n { // keep the latest for serving peers
-			delete(r.ckptLocal, seq)
-		}
-	}
+	return atts
 }
 
 // persistStable writes the stable checkpoint (wrapped payload + 2f+1 vote
@@ -1374,8 +1339,8 @@ func (r *Replica) persistStable(n types.SeqNum) {
 	if r.cfg.Store == nil || r.storeErr != nil || n != r.lastStable {
 		return
 	}
-	saved, ok := r.ckptLocal[n]
-	if !ok {
+	payload := r.ckpt.Local(n)
+	if payload == nil {
 		return // payload still syncing or state-transferring; persisted later
 	}
 	// Re-log the current view state above the new watermark and make it
@@ -1395,10 +1360,11 @@ func (r *Replica) persistStable(n types.SeqNum) {
 	if r.voteWAL() && !r.syncNow() {
 		return
 	}
+	c := r.ckpt.Stable()
 	err := r.cfg.Store.SaveCheckpoint(storage.Checkpoint{
-		Seq: n, Digest: saved.digest,
-		Proof:   wire.EncodeAgreeProof(r.stableProof),
-		Payload: saved.payload,
+		Seq: n, Digest: c.Digest,
+		Proof:   wire.EncodeAgreeProof(agreeProof(c)),
+		Payload: payload,
 	})
 	if err != nil {
 		r.storeErr = err
@@ -1412,13 +1378,9 @@ func (r *Replica) persistStable(n types.SeqNum) {
 // wrapCheckpoint prepends the canonical per-client dedup table to the app's
 // checkpoint payload.
 func (r *Replica) wrapCheckpoint(appPayload []byte) []byte {
-	ids := make([]types.NodeID, 0, len(r.clients))
-	for id, cs := range r.clients {
-		if cs.lastExecuted > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.DeleteFunc(slices.Sorted(maps.Keys(r.clients)), func(id types.NodeID) bool {
+		return r.clients[id].lastExecuted == 0
+	})
 	var w wire.Writer
 	w.Len(len(ids))
 	for _, id := range ids {
@@ -1429,62 +1391,42 @@ func (r *Replica) wrapCheckpoint(appPayload []byte) []byte {
 	return w.B
 }
 
-// unwrapCheckpoint splits a wrapped payload back into dedup table and app
-// state.
-func (r *Replica) unwrapCheckpoint(payload []byte) (map[types.NodeID]types.Timestamp, []byte, error) {
-	rd := wire.NewReader(payload)
-	n := rd.SliceLen()
-	dedup := make(map[types.NodeID]types.Timestamp, n)
-	for i := 0; i < n; i++ {
-		id := rd.Node()
-		dedup[id] = rd.TS()
-	}
-	appPayload := rd.Bytes()
-	if rd.Err() != nil || rd.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("pbft: malformed checkpoint payload")
-	}
-	return dedup, appPayload, nil
-}
-
 // --- state transfer and catch-up ----------------------------------------------
-
-func (r *Replica) requestStateTransfer(n types.SeqNum, digest types.Digest) {
-	if r.fetchingSeq >= n {
-		return
-	}
-	r.fetchingSeq = n
-	r.fetchDeadline = r.now + r.cfg.ViewChangeResend
-	// Ask everyone; first valid payload wins.
-	r.broadcast(wire.Marshal(&wire.CheckpointFetch{Seq: n, Executor: r.cfg.ID}))
-}
-
-func (r *Replica) onCheckpointFetch(m *wire.CheckpointFetch, from types.NodeID, now types.Time) {
-	if saved, ok := r.ckptLocal[m.Seq]; ok {
-		r.send(from, wire.Marshal(&wire.CheckpointData{Seq: m.Seq, State: saved.digest, Payload: saved.payload}))
-	}
-}
 
 func (r *Replica) onCheckpointData(m *wire.CheckpointData, now types.Time) {
 	if m.Seq <= r.lastExec || m.Seq != r.fetchingSeq {
 		return
 	}
-	// Validate against the stability proof gathered in makeStable.
-	if m.Seq != r.lastStable {
+	// The tracker admits only the payload of the stable checkpoint.
+	if !r.ckpt.Accept(m, func(payload []byte) error { return r.restore(m.Seq, m.State, payload) }) {
 		return
 	}
-	want := r.stableProof
-	if len(want) == 0 || want[0].State != m.State {
-		return
+	r.lastExec = m.Seq
+	r.fetchingSeq = 0
+	r.syncing = false
+	// A state transfer that filled in the stable payload completes the
+	// deferred persist from makeStable.
+	r.persistStable(m.Seq)
+	r.executeReady(now)
+}
+
+// restore installs a wrapped checkpoint payload (state transfer, recovery):
+// the app state, then the dedup table, keeping any later order a client
+// already has and dropping its buffered request.
+func (r *Replica) restore(n types.SeqNum, digest types.Digest, payload []byte) error {
+	rd := wire.NewReader(payload)
+	k := rd.SliceLen()
+	dedup := make(map[types.NodeID]types.Timestamp, k)
+	for i := 0; i < k; i++ {
+		id := rd.Node()
+		dedup[id] = rd.TS()
 	}
-	if types.DigestBytes(m.Payload) != m.State {
-		return
+	appPayload := rd.Bytes()
+	if rd.Err() != nil || rd.Remaining() != 0 {
+		return fmt.Errorf("pbft: malformed checkpoint payload")
 	}
-	dedup, appPayload, err := r.unwrapCheckpoint(m.Payload)
-	if err != nil {
-		return
-	}
-	if err := r.app.Restore(m.Seq, m.State, appPayload); err != nil {
-		return
+	if err := r.app.Restore(n, digest, appPayload); err != nil {
+		return err
 	}
 	for id, ts := range dedup {
 		cs := r.client(id)
@@ -1496,14 +1438,7 @@ func (r *Replica) onCheckpointData(m *wire.CheckpointData, now types.Time) {
 		}
 		cs.pending = nil
 	}
-	r.ckptLocal[m.Seq] = savedCheckpoint{digest: m.State, payload: m.Payload}
-	r.lastExec = m.Seq
-	r.fetchingSeq = 0
-	r.syncing = false
-	// A state transfer that filled in the stable payload completes the
-	// deferred persist from makeStable.
-	r.persistStable(m.Seq)
-	r.executeReady(now)
+	return nil
 }
 
 func (r *Replica) onStatus(m *wire.Status, now types.Time) {
@@ -1513,9 +1448,8 @@ func (r *Replica) onStatus(m *wire.Status, now types.Time) {
 	// Peer lags behind our stable checkpoint: send the proof so it can
 	// state-transfer.
 	if m.LastStable < r.lastStable {
-		for _, c := range r.stableProof {
-			cp := c
-			r.send(m.Replica, wire.Marshal(&cp))
+		for _, c := range agreeProof(r.ckpt.Stable()) {
+			r.send(m.Replica, wire.Marshal(&c))
 		}
 	}
 	// Peer is missing committed batches within our window: replay them as
@@ -1613,47 +1547,8 @@ func (r *Replica) Recover(now types.Time) error {
 	if err != nil {
 		return err
 	}
-	allowed := make(map[types.NodeID]bool, r.n)
-	for _, id := range r.top.Agreement {
-		allowed[id] = true
-	}
-	for _, ck := range cks { // newest first; take the first that verifies
-		if types.DigestBytes(ck.Payload) != ck.Digest {
-			continue
-		}
-		votes, err := wire.DecodeAgreeProof(ck.Proof)
-		if err != nil {
-			continue
-		}
-		atts := make([]auth.Attestation, 0, len(votes))
-		for i := range votes {
-			if votes[i].Seq == ck.Seq && votes[i].State == ck.Digest {
-				atts = append(atts, votes[i].Att)
-			}
-		}
-		cd := wire.CheckpointDigest(ck.Seq, ck.Digest)
-		if auth.CountDistinct(r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
-			continue
-		}
-		dedup, appPayload, err := r.unwrapCheckpoint(ck.Payload)
-		if err != nil {
-			continue
-		}
-		if err := r.app.Restore(ck.Seq, ck.Digest, appPayload); err != nil {
-			continue
-		}
-		for id, ts := range dedup {
-			cs := r.client(id)
-			cs.lastOrdered = ts
-			cs.lastExecuted = ts
-		}
-		r.ckptLocal[ck.Seq] = savedCheckpoint{digest: ck.Digest, payload: ck.Payload}
-		r.lastExec = ck.Seq
-		r.lastStable = ck.Seq
-		r.stableProof = votes
-		r.nextSeq = ck.Seq
-		break
-	}
+	n := r.ckpt.Recover(cks, agreeAtts, func(ck storage.Checkpoint) error { return r.restore(ck.Seq, ck.Digest, ck.Payload) })
+	r.lastExec, r.lastStable, r.nextSeq = n, n, n
 	// Replay the tail: commits, votes, prepared certificates, and view
 	// transitions interleaved in append order. CommitProofs and prepared
 	// certificates are self-proving and go through untrusted verify paths,

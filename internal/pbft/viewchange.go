@@ -1,9 +1,11 @@
 package pbft
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/auth"
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -53,12 +55,7 @@ func (r *Replica) startViewChange(target types.View, now types.Time) {
 // buildViewChange assembles this replica's evidence for the new view.
 func (r *Replica) buildViewChange(target types.View) *wire.ViewChange {
 	var entries []wire.PreparedEntry
-	seqs := make([]types.SeqNum, 0, len(r.insts))
-	for n := range r.insts {
-		seqs = append(seqs, n)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, n := range seqs {
+	for _, n := range slices.Sorted(maps.Keys(r.insts)) {
 		in := r.insts[n]
 		if !in.prepared || in.pp == nil || n <= r.lastStable {
 			continue
@@ -72,8 +69,8 @@ func (r *Replica) buildViewChange(target types.View) *wire.ViewChange {
 	vc := &wire.ViewChange{
 		NewView:    target,
 		LastStable: r.lastStable,
-		CkptState:  r.stableState(),
-		CkptProof:  r.stableProof,
+		CkptState:  r.ckpt.Stable().Digest,
+		CkptProof:  agreeProof(r.ckpt.Stable()),
 		Prepared:   entries,
 		Replica:    r.cfg.ID,
 	}
@@ -87,15 +84,6 @@ func (r *Replica) buildViewChange(target types.View) *wire.ViewChange {
 	return vc
 }
 
-// stableState returns the digest of the latest stable checkpoint (zero at
-// genesis).
-func (r *Replica) stableState() types.Digest {
-	if len(r.stableProof) > 0 {
-		return r.stableProof[0].State
-	}
-	return types.ZeroDigest
-}
-
 // validateViewChange checks a VIEW-CHANGE end to end: signature, checkpoint
 // proof, and every prepared entry's transferable evidence.
 func (r *Replica) validateViewChange(m *wire.ViewChange) bool {
@@ -106,21 +94,14 @@ func (r *Replica) validateViewChange(m *wire.ViewChange) bool {
 	if r.cfg.TransferAuth.Verify(auth.KindViewChange, m.SigningDigest(), m.Att) != nil {
 		return false
 	}
-	allowed := make(map[types.NodeID]bool, r.n)
-	for _, id := range r.top.Agreement {
-		allowed[id] = true
-	}
 	if m.LastStable > 0 {
-		cd := wire.CheckpointDigest(m.LastStable, m.CkptState)
-		atts := make([]auth.Attestation, 0, len(m.CkptProof))
 		for i := range m.CkptProof {
 			c := &m.CkptProof[i]
 			if c.Seq != m.LastStable || c.State != m.CkptState || c.Att.Node != c.Replica {
 				return false
 			}
-			atts = append(atts, c.Att)
 		}
-		if auth.CountDistinct(r.cfg.TransferAuth, auth.KindAgreeCheckpoint, cd, atts, allowed) < 2*r.f+1 {
+		if !r.ckpt.Verify(certOf(m)) {
 			return false
 		}
 	}
@@ -134,6 +115,15 @@ func (r *Replica) validateViewChange(m *wire.ViewChange) bool {
 		}
 	}
 	return true
+}
+
+// certOf is the stable certificate a view change's checkpoint proof carries.
+func certOf(m *wire.ViewChange) checkpoint.Cert {
+	c := checkpoint.Cert{Seq: m.LastStable, Digest: m.CkptState}
+	for i := range m.CkptProof {
+		c.Atts = append(c.Atts, m.CkptProof[i].Att)
+	}
+	return c
 }
 
 // verifyPreparedEvidence checks a PreparedEntry's transferable proof that a
@@ -233,13 +223,8 @@ func (r *Replica) maybeBuildNewView(now types.Time) {
 	}
 	// Deterministically select 2f+1 view changes (ascending replica id,
 	// own first if present).
-	ids := make([]types.NodeID, 0, len(byNode))
-	for id := range byNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	selected := make([]wire.ViewChange, 0, 2*r.f+1)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(byNode)) {
 		if len(selected) == 2*r.f+1 {
 			break
 		}
@@ -378,15 +363,14 @@ func (r *Replica) onNewView(m *wire.NewView, now types.Time) {
 		return
 	}
 	// Adopt the new-view checkpoint if it is ahead of ours.
+	// validateNewView checked every view change's checkpoint proof.
 	if minS > r.lastStable {
 		for i := range m.ViewChanges {
 			vc := &m.ViewChanges[i]
 			if vc.LastStable == minS {
-				votes := make(map[types.NodeID]wire.AgreeCheckpoint)
-				for _, c := range vc.CkptProof {
-					votes[c.Replica] = c
+				if r.ckpt.Install(certOf(vc)) {
+					r.makeStable()
 				}
-				r.makeStable(minS, vc.CkptState, votes)
 				break
 			}
 		}
@@ -474,12 +458,7 @@ func (r *Replica) installNewView(m *wire.NewView, minS, maxS types.SeqNum, now t
 	// Resubmit in client-ID order: the relay/enqueue order reaches the
 	// wire (and the new primary's proposal order), so it must not vary
 	// with map iteration across otherwise-identical replicas.
-	cids := make([]types.NodeID, 0, len(r.clients))
-	for id := range r.clients {
-		cids = append(cids, id)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-	for _, id := range cids {
+	for _, id := range slices.Sorted(maps.Keys(r.clients)) {
 		cs := r.clients[id]
 		if cs.pending == nil {
 			continue
@@ -502,12 +481,7 @@ func (r *Replica) installNewView(m *wire.NewView, minS, maxS types.SeqNum, now t
 	// this NEW-VIEW; onPrePrepare now validates them as usual.
 	early := r.earlyPP
 	r.earlyPP = nil
-	seqs := make([]types.SeqNum, 0, len(early))
-	for n := range early {
-		seqs = append(seqs, n)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, n := range seqs {
+	for _, n := range slices.Sorted(maps.Keys(early)) {
 		r.onPrePrepare(early[n], now)
 	}
 }

@@ -571,6 +571,14 @@ func (n *TCPNet) writeLoop(p *tcpPeer, to types.NodeID, addr string) {
 					n.stats.reconnects.Add(1)
 				}
 				p.everConnected = true
+				// The frame in hand is older than everything queued behind
+				// it. If the queue filled while the peer was unreachable,
+				// sending it too would deliver QueueLen+1 frames: drop it,
+				// as Send drops the oldest.
+				if len(p.out) == cap(p.out) {
+					n.stats.framesDropped.Add(1)
+					frame = nil
+				}
 			}
 			if conn == nil || frame == nil {
 				continue
